@@ -46,10 +46,8 @@ void RangeOf(const std::vector<FileMeta>& files, std::string* smallest,
 }  // namespace
 
 CompactionPick PickCompaction(const VersionSet& versions,
-                              const LsmOptions& options,
-                              std::vector<uint64_t>* cursors) {
+                              const LsmOptions& options) {
   CompactionPick pick;
-  cursors->resize(versions.num_levels(), 0);
 
   int best_level = -1;
   double best_score = 1.0;  // only levels at/over their trigger
@@ -76,15 +74,11 @@ CompactionPick PickCompaction(const VersionSet& versions,
     // byte), which substantially lowers WA-A versus naive round-robin.
     const auto& files = versions.LevelFiles(best_level);
     PTSB_CHECK(!files.empty());
-    size_t best_idx = (*cursors)[best_level] % files.size();
+    size_t best_idx = 0;
     double best_ratio = -1;
     for (size_t i = 0; i < files.size(); i++) {
-      uint64_t overlap = 0;
-      for (const FileMeta& f :
-           versions.Overlapping(best_level + 1, files[i].smallest,
-                                files[i].largest)) {
-        overlap += f.file_bytes;
-      }
+      const uint64_t overlap = versions.OverlappingBytes(
+          best_level + 1, files[i].smallest, files[i].largest);
       const double ratio = static_cast<double>(overlap) /
                            static_cast<double>(files[i].file_bytes + 1);
       if (best_ratio < 0 || ratio < best_ratio) {
@@ -92,7 +86,6 @@ CompactionPick PickCompaction(const VersionSet& versions,
         best_idx = i;
       }
     }
-    (*cursors)[best_level] = best_idx + 1;
     pick.inputs0.push_back(files[best_idx]);
   }
 

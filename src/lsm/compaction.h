@@ -40,11 +40,10 @@ struct CompactionPick {
   double score = 0;
 };
 
-// Chooses the most pressured level. `cursors` holds one round-robin file
-// cursor per level and is advanced by the pick.
+// Chooses the most pressured level; on L1+, the file of that level whose
+// overlap with the next level is smallest per input byte (first on ties).
 CompactionPick PickCompaction(const VersionSet& versions,
-                              const LsmOptions& options,
-                              std::vector<uint64_t>* cursors);
+                              const LsmOptions& options);
 
 // Range splitter for partitioned subcompactions: cuts the key space the
 // input tables cover into up to `k` byte-balanced subranges, using the

@@ -307,8 +307,7 @@ void LsmStore::JoinBackgroundWork() {
 
 Status LsmStore::CompactionWorkImpl(uint64_t budget) {
   if (job_ == nullptr) {
-    CompactionPick pick =
-        PickCompaction(*versions_, options_, &compaction_cursors_);
+    CompactionPick pick = PickCompaction(*versions_, options_);
     if (!pick.valid) return Status::OK();
     if (pick.trivial_move) {
       // Relink the file into the next level; no I/O at all.
@@ -339,8 +338,7 @@ Status LsmStore::ParallelCompactionWork(uint64_t budget) {
         options_.compaction_parallelism);
   }
   if (parallel_job_ == nullptr) {
-    CompactionPick pick =
-        PickCompaction(*versions_, options_, &compaction_cursors_);
+    CompactionPick pick = PickCompaction(*versions_, options_);
     if (!pick.valid) return Status::OK();
     if (pick.trivial_move) {
       // No table I/O; the manifest append still runs (and is charged)
@@ -523,8 +521,7 @@ Status LsmStore::DrainCompactions() {
     PTSB_RETURN_IF_ERROR(
         CompactionWork(options_.compaction_budget_bytes * 8));
     if (CompactionPending()) continue;
-    CompactionPick pick =
-        PickCompaction(*versions_, options_, &compaction_cursors_);
+    CompactionPick pick = PickCompaction(*versions_, options_);
     if (!pick.valid) {
       JoinBackgroundWork();
       return Status::OK();

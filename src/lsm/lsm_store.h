@@ -175,7 +175,6 @@ class LsmStore : public kv::KVStore {
   // Background lanes for subcompactions (queue background_queue + i).
   // Created lazily on the first parallel pick.
   std::unique_ptr<kv::BackgroundPool> pool_;
-  std::vector<uint64_t> compaction_cursors_;
   // Completion time of the last background-lane compaction span
   // (background_io): the engine's one background worker serializes on
   // it, and foreground waits join it via JoinBackgroundWork().

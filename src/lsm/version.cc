@@ -138,7 +138,10 @@ StatusOr<VersionEdit> VersionEdit::Decode(std::string_view in) {
 }
 
 VersionSet::VersionSet(fs::SimpleFs* fs, std::string dir, int max_levels)
-    : fs_(fs), dir_(std::move(dir)), levels_(max_levels) {}
+    : fs_(fs),
+      dir_(std::move(dir)),
+      levels_(max_levels),
+      level_bytes_(max_levels, 0) {}
 
 std::string VersionSet::SstFileName(const std::string& dir, uint64_t number) {
   return StrPrintf("%s/%06llu.sst", dir.c_str(),
@@ -157,6 +160,18 @@ std::string VersionSet::ManifestName(uint64_t number) const {
 
 std::string VersionSet::CurrentName() const { return dir_ + "/CURRENT"; }
 
+namespace {
+
+// Level order: L0 newest-first, L1+ by smallest key. Both orders are
+// total (L0 file numbers are unique, L1+ key ranges are disjoint), so
+// inserting each file at its upper bound yields exactly the sequence a
+// full sort of the level would.
+bool LevelOrderLess(int level, const FileMeta& a, const FileMeta& b) {
+  return level == 0 ? a.number > b.number : a.smallest < b.smallest;
+}
+
+}  // namespace
+
 void VersionSet::Apply(const VersionEdit& edit) {
   if (edit.next_file_number) next_file_number_ = *edit.next_file_number;
   if (edit.last_sequence) last_sequence_ = *edit.last_sequence;
@@ -164,15 +179,18 @@ void VersionSet::Apply(const VersionEdit& edit) {
   if (edit.range_tombstones) tombstones_ = *edit.range_tombstones;
   for (const auto& [level, number] : edit.removed) {
     auto& files = levels_[level];
-    files.erase(std::remove_if(files.begin(), files.end(),
-                               [n = number](const FileMeta& f) {
-                                 return f.number == n;
-                               }),
-                files.end());
+    for (auto it = files.begin(); it != files.end();) {
+      if (it->number == number) {
+        level_bytes_[level] -= it->file_bytes;
+        it = files.erase(it);
+      } else {
+        ++it;
+      }
+    }
   }
   // One edit may carry many additions (a memtable flush, or a
   // partitioned subcompaction installing every subrange's outputs as
-  // one atomic record); the re-sort below makes the order they arrive
+  // one atomic record); ordered insertion makes the order they arrive
   // in irrelevant, but each file number must appear at most once.
 #ifndef NDEBUG
   {
@@ -186,21 +204,17 @@ void VersionSet::Apply(const VersionEdit& edit) {
   for (const auto& [level, f] : edit.added) {
     // Never hand out a number at or below one we have seen in use.
     next_file_number_ = std::max(next_file_number_, f.number + 1);
-    levels_[level].push_back(f);
+    auto& files = levels_[level];
+    const auto pos = std::upper_bound(
+        files.begin(), files.end(), f,
+        [l = level](const FileMeta& a, const FileMeta& b) {
+          return LevelOrderLess(l, a, b);
+        });
+    files.insert(pos, f);
+    level_bytes_[level] += f.file_bytes;
   }
   if (edit.log_number) {
     next_file_number_ = std::max(next_file_number_, *edit.log_number + 1);
-  }
-  // Restore ordering invariants.
-  std::sort(levels_[0].begin(), levels_[0].end(),
-            [](const FileMeta& a, const FileMeta& b) {
-              return a.number > b.number;  // newest first
-            });
-  for (size_t l = 1; l < levels_.size(); l++) {
-    std::sort(levels_[l].begin(), levels_[l].end(),
-              [](const FileMeta& a, const FileMeta& b) {
-                return a.smallest < b.smallest;
-              });
   }
 }
 
@@ -311,12 +325,6 @@ Status VersionSet::LogAndApply(const VersionEdit& edit) {
   return Status::OK();
 }
 
-uint64_t VersionSet::LevelBytes(int level) const {
-  uint64_t n = 0;
-  for (const FileMeta& f : levels_[level]) n += f.file_bytes;
-  return n;
-}
-
 uint64_t VersionSet::TotalSstBytes() const {
   uint64_t n = 0;
   for (int l = 0; l < num_levels(); l++) n += LevelBytes(l);
@@ -338,15 +346,41 @@ int VersionSet::MaxPopulatedLevel() const {
   return -1;
 }
 
+template <typename Fn>
+void VersionSet::ForEachOverlapping(int level, std::string_view smallest,
+                                    std::string_view largest, Fn&& fn) const {
+  const auto& files = levels_[level];
+  if (level == 0) {
+    for (const FileMeta& f : files) {
+      if (f.largest < smallest || f.smallest > largest) continue;
+      fn(f);
+    }
+    return;
+  }
+  // L1+ is sorted by smallest key and disjoint, so it is sorted by
+  // largest key too: skip the files that end before the range, then
+  // take files until one starts after it.
+  auto it = std::partition_point(
+      files.begin(), files.end(),
+      [smallest](const FileMeta& f) { return f.largest < smallest; });
+  for (; it != files.end() && !(it->smallest > largest); ++it) fn(*it);
+}
+
 std::vector<FileMeta> VersionSet::Overlapping(int level,
                                               std::string_view smallest,
                                               std::string_view largest) const {
   std::vector<FileMeta> out;
-  for (const FileMeta& f : levels_[level]) {
-    if (f.largest < smallest || f.smallest > largest) continue;
-    out.push_back(f);
-  }
+  ForEachOverlapping(level, smallest, largest,
+                     [&out](const FileMeta& f) { out.push_back(f); });
   return out;
+}
+
+uint64_t VersionSet::OverlappingBytes(int level, std::string_view smallest,
+                                      std::string_view largest) const {
+  uint64_t bytes = 0;
+  ForEachOverlapping(level, smallest, largest,
+                     [&bytes](const FileMeta& f) { bytes += f.file_bytes; });
+  return bytes;
 }
 
 Status VersionSet::CheckInvariants() const {

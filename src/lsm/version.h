@@ -58,7 +58,7 @@ class VersionSet {
     return levels_[level];
   }
   int num_levels() const { return static_cast<int>(levels_.size()); }
-  uint64_t LevelBytes(int level) const;
+  uint64_t LevelBytes(int level) const { return level_bytes_[level]; }
   uint64_t TotalSstBytes() const;
   uint64_t TotalEntries() const;
   int MaxPopulatedLevel() const;  // -1 if empty
@@ -80,9 +80,14 @@ class VersionSet {
   void set_last_sequence(SequenceNumber s) { last_sequence_ = s; }
   uint64_t log_number() const { return log_number_; }
 
-  // Files in `level` overlapping [smallest, largest] (user-key range).
+  // Files in `level` overlapping [smallest, largest] (user-key range),
+  // in level order. L1+ is searched in O(log n + matches); L0 is scanned.
   std::vector<FileMeta> Overlapping(int level, std::string_view smallest,
                                     std::string_view largest) const;
+  // Total file_bytes of Overlapping(level, smallest, largest), without
+  // copying any FileMeta.
+  uint64_t OverlappingBytes(int level, std::string_view smallest,
+                            std::string_view largest) const;
 
   static std::string SstFileName(const std::string& dir, uint64_t number);
   static std::string WalFileName(const std::string& dir, uint64_t number);
@@ -93,12 +98,17 @@ class VersionSet {
  private:
   Status WriteSnapshot();
   void Apply(const VersionEdit& edit);
+  // Calls fn(f) for each file in `level` overlapping [smallest, largest].
+  template <typename Fn>
+  void ForEachOverlapping(int level, std::string_view smallest,
+                          std::string_view largest, Fn&& fn) const;
   std::string ManifestName(uint64_t number) const;
   std::string CurrentName() const;
 
   fs::SimpleFs* fs_;
   std::string dir_;
   std::vector<std::vector<FileMeta>> levels_;
+  std::vector<uint64_t> level_bytes_;  // sum of file_bytes per level
   std::vector<RangeTombstone> tombstones_;
   uint64_t next_file_number_ = 1;
   SequenceNumber last_sequence_ = 0;

@@ -2,13 +2,19 @@
 
 #include <array>
 
+#include "util/crc32_internal.h"
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 namespace ptsb {
 
 namespace {
 
 // Slice-by-8 CRC-32C: processes 8 bytes per step, ~6-8x faster than the
-// byte-at-a-time loop. The simulator checksums every SST block and page
-// twice (build + verify), so this is on the simulation's critical path.
+// byte-at-a-time loop. The portable fallback for CPUs without a CRC-32C
+// instruction.
 struct Crc32cTables {
   std::array<std::array<uint32_t, 256>, 8> t{};
   Crc32cTables() {
@@ -32,9 +38,55 @@ struct Crc32cTables {
 
 const Crc32cTables kT;
 
+#if defined(__x86_64__)
+// SSE4.2 `crc32` computes CRC-32C natively, 8 bytes per instruction.
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(uint32_t crc,
+                                                       const void* data,
+                                                       size_t n) {
+  const auto* p = static_cast<const uint8_t*>(data);
+  uint32_t c = ~crc;
+  while (n > 0 && (reinterpret_cast<uintptr_t>(p) & 7) != 0) {
+    c = _mm_crc32_u8(c, *p++);
+    n--;
+  }
+  uint64_t c64 = c;
+  while (n >= 8) {
+    uint64_t w;
+    __builtin_memcpy(&w, p, 8);
+    c64 = _mm_crc32_u64(c64, w);
+    p += 8;
+    n -= 8;
+  }
+  c = static_cast<uint32_t>(c64);
+  while (n > 0) {
+    c = _mm_crc32_u8(c, *p++);
+    n--;
+  }
+  return ~c;
+}
+#endif
+
+using Crc32cFn = uint32_t (*)(uint32_t, const void*, size_t);
+
+// Chosen once, on first use.
+Crc32cFn SelectCrc32c() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sse4.2")) return Crc32cSse42;
+#endif
+  return crc32c_internal::Crc32cPortable;
+}
+
+Crc32cFn Crc32cImpl() {
+  static const Crc32cFn impl = SelectCrc32c();
+  return impl;
+}
+
 }  // namespace
 
-uint32_t Crc32c(uint32_t crc, const void* data, size_t n) {
+namespace crc32c_internal {
+
+uint32_t Crc32cPortable(uint32_t crc, const void* data, size_t n) {
   const auto* p = static_cast<const uint8_t*>(data);
   crc = ~crc;
   // Align to 8 bytes.
@@ -58,6 +110,14 @@ uint32_t Crc32c(uint32_t crc, const void* data, size_t n) {
     n--;
   }
   return ~crc;
+}
+
+bool HardwareCrc32c() { return Crc32cImpl() != Crc32cPortable; }
+
+}  // namespace crc32c_internal
+
+uint32_t Crc32c(uint32_t crc, const void* data, size_t n) {
+  return Crc32cImpl()(crc, data, n);
 }
 
 }  // namespace ptsb

@@ -2,8 +2,12 @@
 // builder/reader/iterator, WAL framing and replay, version set/manifest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "block/memory_device.h"
 #include "fs/file.h"
@@ -14,6 +18,7 @@
 #include "lsm/sst.h"
 #include "lsm/version.h"
 #include "lsm/wal.h"
+#include "util/human.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -511,6 +516,324 @@ TEST_F(VersionTest, ManifestRotationKeepsState) {
   VersionSet fresh(&fs_, "db", 7);
   ASSERT_TRUE(fresh.Recover().ok());
   EXPECT_EQ(fresh.LevelFiles(1).size(), 600u);
+}
+
+// Brute-force model of a VersionSet's levels: every edit is applied by
+// appending and fully re-sorting, and every query is a linear scan. It
+// also generates random edits that keep the level invariants: L0 files
+// overlap freely, L1+ files are disjoint.
+class ReferenceLevels {
+ public:
+  explicit ReferenceLevels(int num_levels) : levels_(num_levels) {}
+
+  const std::vector<FileMeta>& files(int level) const {
+    return levels_[level];
+  }
+  int num_levels() const { return static_cast<int>(levels_.size()); }
+
+  void Apply(const VersionEdit& edit) {
+    for (const auto& [level, number] : edit.removed) {
+      auto& files = levels_[level];
+      files.erase(std::remove_if(files.begin(), files.end(),
+                                 [n = number](const FileMeta& f) {
+                                   return f.number == n;
+                                 }),
+                  files.end());
+    }
+    for (const auto& [level, f] : edit.added) levels_[level].push_back(f);
+    std::sort(levels_[0].begin(), levels_[0].end(),
+              [](const FileMeta& a, const FileMeta& b) {
+                return a.number > b.number;
+              });
+    for (size_t l = 1; l < levels_.size(); l++) {
+      std::sort(levels_[l].begin(), levels_[l].end(),
+                [](const FileMeta& a, const FileMeta& b) {
+                  return a.smallest < b.smallest;
+                });
+    }
+  }
+
+  std::vector<FileMeta> Overlapping(int level, std::string_view smallest,
+                                    std::string_view largest) const {
+    std::vector<FileMeta> out;
+    for (const FileMeta& f : levels_[level]) {
+      if (f.largest < smallest || f.smallest > largest) continue;
+      out.push_back(f);
+    }
+    return out;
+  }
+
+  uint64_t LevelBytes(int level) const {
+    uint64_t n = 0;
+    for (const FileMeta& f : levels_[level]) n += f.file_bytes;
+    return n;
+  }
+
+  static std::string Key(uint64_t i) {
+    return StrPrintf("k%05llu", static_cast<unsigned long long>(i));
+  }
+
+  // A random edit: removals, then single or multi-file additions (a
+  // multi-file L1+ addition is a run of adjacent disjoint files, as a
+  // subcompaction install produces). File numbers come from `vs`.
+  VersionEdit RandomEdit(Rng& rng, VersionSet* vs) const {
+    VersionEdit edit;
+    std::vector<std::vector<FileMeta>> after = levels_;
+    const int removals = static_cast<int>(rng.Uniform(4));
+    for (int r = 0; r < removals; r++) {
+      const int level = static_cast<int>(rng.Uniform(num_levels()));
+      auto& files = after[level];
+      if (files.empty()) continue;
+      const size_t i = rng.Uniform(files.size());
+      edit.removed.emplace_back(level, files[i].number);
+      files.erase(files.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    if (rng.Bernoulli(0.1)) {
+      // Clear a whole level.
+      const int level = static_cast<int>(rng.Uniform(num_levels()));
+      for (const FileMeta& f : after[level]) {
+        edit.removed.emplace_back(level, f.number);
+      }
+      after[level].clear();
+    }
+    const int additions = static_cast<int>(rng.Uniform(3));
+    for (int a = 0; a < additions; a++) {
+      const int level = static_cast<int>(rng.Uniform(num_levels()));
+      const size_t count = rng.Bernoulli(0.4) ? 2 + rng.Uniform(5) : 1;
+      std::vector<FileMeta> add;
+      if (level == 0) {
+        for (size_t i = 0; i < count; i++) {
+          uint64_t lo = rng.Uniform(kKeySpace);
+          uint64_t hi = rng.Uniform(kKeySpace);
+          if (lo > hi) std::swap(lo, hi);
+          add.push_back(File(vs->NewFileNumber(), lo, hi, rng));
+        }
+      } else {
+        // A free gap [lo, hi] of key indices, split into `count` files.
+        const uint64_t lo = rng.Uniform(kKeySpace);
+        uint64_t hi = std::min<uint64_t>(kKeySpace - 1,
+                                         lo + rng.Uniform(kKeySpace / 8));
+        bool free = true;
+        for (const FileMeta& f : after[level]) {
+          if (f.largest < Key(lo) || f.smallest > Key(hi)) continue;
+          if (f.smallest <= Key(lo)) free = false;  // lo is covered
+          hi = std::min<uint64_t>(hi, std::stoull(f.smallest.substr(1)) - 1);
+        }
+        if (!free || hi < lo) continue;
+        uint64_t start = lo;
+        for (size_t i = 0; i < count && start <= hi; i++) {
+          const uint64_t end =
+              i + 1 == count ? hi : start + rng.Uniform(hi - start + 1);
+          add.push_back(File(vs->NewFileNumber(), start, end, rng));
+          start = end + 1;
+        }
+      }
+      // Arrival order must not matter.
+      for (size_t i = add.size(); i > 1; i--) {
+        std::swap(add[i - 1], add[rng.Uniform(i)]);
+      }
+      for (FileMeta& f : add) {
+        after[level].push_back(f);
+        edit.added.emplace_back(level, std::move(f));
+      }
+    }
+    return edit;
+  }
+
+  // A query range; each end is a file boundary half of the time.
+  std::pair<std::string, std::string> RandomRange(Rng& rng, int level) const {
+    auto pick = [&]() {
+      const auto& files = levels_[level];
+      if (!files.empty() && rng.Bernoulli(0.5)) {
+        const FileMeta& f = files[rng.Uniform(files.size())];
+        return rng.Bernoulli(0.5) ? f.smallest : f.largest;
+      }
+      return Key(rng.Uniform(kKeySpace));
+    };
+    std::string lo = pick();
+    std::string hi = pick();
+    if (lo > hi) std::swap(lo, hi);
+    return {lo, hi};
+  }
+
+  static constexpr uint64_t kKeySpace = 4000;
+
+ private:
+  static FileMeta File(uint64_t number, uint64_t lo, uint64_t hi, Rng& rng) {
+    FileMeta f;
+    f.number = number;
+    f.file_bytes = 1 + rng.Uniform(1 << 20);
+    f.num_entries = 1 + rng.Uniform(1000);
+    f.smallest = Key(lo);
+    f.largest = Key(hi);
+    return f;
+  }
+
+  std::vector<std::vector<FileMeta>> levels_;
+};
+
+std::vector<uint64_t> Numbers(const std::vector<FileMeta>& files) {
+  std::vector<uint64_t> out;
+  for (const FileMeta& f : files) out.push_back(f.number);
+  return out;
+}
+
+void ExpectSameLevels(const VersionSet& vs, const ReferenceLevels& ref) {
+  ASSERT_TRUE(vs.CheckInvariants().ok());
+  uint64_t total = 0;
+  for (int l = 0; l < ref.num_levels(); l++) {
+    const auto& got = vs.LevelFiles(l);
+    const auto& want = ref.files(l);
+    ASSERT_EQ(Numbers(got), Numbers(want)) << "level " << l;
+    for (size_t i = 0; i < got.size(); i++) {
+      EXPECT_EQ(got[i].file_bytes, want[i].file_bytes);
+      EXPECT_EQ(got[i].num_entries, want[i].num_entries);
+      EXPECT_EQ(got[i].smallest, want[i].smallest);
+      EXPECT_EQ(got[i].largest, want[i].largest);
+    }
+    EXPECT_EQ(vs.LevelBytes(l), ref.LevelBytes(l)) << "level " << l;
+    total += ref.LevelBytes(l);
+  }
+  EXPECT_EQ(vs.TotalSstBytes(), total);
+}
+
+TEST_F(VersionTest, MatchesBruteForceReference) {
+  constexpr int kLevels = 5;
+  Rng rng(4242);
+  ReferenceLevels ref(kLevels);
+  VersionSet vs(&fs_, "db", kLevels);
+  ASSERT_TRUE(vs.Recover().ok());
+  // More edits than one manifest holds (kEditsPerManifest = 512), so the
+  // recovery below crosses a rotation.
+  for (int step = 0; step < 1200; step++) {
+    const VersionEdit edit = ref.RandomEdit(rng, &vs);
+    ASSERT_TRUE(vs.LogAndApply(edit).ok());
+    ref.Apply(edit);
+    ASSERT_NO_FATAL_FAILURE(ExpectSameLevels(vs, ref)) << "step " << step;
+    for (int l = 0; l < kLevels; l++) {
+      for (int q = 0; q < 4; q++) {
+        const auto [lo, hi] = ref.RandomRange(rng, l);
+        const std::vector<FileMeta> want = ref.Overlapping(l, lo, hi);
+        uint64_t want_bytes = 0;
+        for (const FileMeta& f : want) want_bytes += f.file_bytes;
+        ASSERT_EQ(Numbers(vs.Overlapping(l, lo, hi)), Numbers(want))
+            << "step " << step << " L" << l << " [" << lo << ", " << hi
+            << "]";
+        ASSERT_EQ(vs.OverlappingBytes(l, lo, hi), want_bytes);
+      }
+    }
+  }
+  VersionSet recovered(&fs_, "db", kLevels);
+  ASSERT_TRUE(recovered.Recover().ok());
+  ExpectSameLevels(recovered, ref);
+  EXPECT_EQ(recovered.last_sequence(), vs.last_sequence());
+  EXPECT_EQ(recovered.NewFileNumber(), vs.NewFileNumber());
+}
+
+// Reference picker over the brute-force model: linear overlap scans,
+// summed level bytes, and a round-robin start cursor that the
+// minimum-ratio scan always overrides (so it never changes a pick).
+CompactionPick ReferencePickCompaction(const ReferenceLevels& ref,
+                                       const LsmOptions& options,
+                                       std::vector<uint64_t>* cursors) {
+  CompactionPick pick;
+  cursors->resize(ref.num_levels(), 0);
+  auto score_of = [&](int level) -> double {
+    if (level == 0) {
+      return static_cast<double>(ref.files(0).size()) /
+             static_cast<double>(options.l0_compaction_trigger);
+    }
+    if (level >= ref.num_levels() - 1) return 0;
+    return static_cast<double>(ref.LevelBytes(level)) /
+           static_cast<double>(LevelTargetBytes(options, level));
+  };
+  int best_level = -1;
+  double best_score = 1.0;
+  for (int l = 0; l < ref.num_levels() - 1; l++) {
+    const double score = score_of(l);
+    if (score >= best_score) {
+      best_score = score;
+      best_level = l;
+    }
+  }
+  if (best_level < 0) return pick;
+  pick.valid = true;
+  pick.level = best_level;
+  pick.score = best_score;
+  if (best_level == 0) {
+    pick.inputs0 = ref.files(0);
+  } else {
+    const auto& files = ref.files(best_level);
+    size_t best_idx = (*cursors)[best_level] % files.size();
+    double best_ratio = -1;
+    for (size_t i = 0; i < files.size(); i++) {
+      uint64_t overlap = 0;
+      for (const FileMeta& f : ref.Overlapping(
+               best_level + 1, files[i].smallest, files[i].largest)) {
+        overlap += f.file_bytes;
+      }
+      const double ratio = static_cast<double>(overlap) /
+                           static_cast<double>(files[i].file_bytes + 1);
+      if (best_ratio < 0 || ratio < best_ratio) {
+        best_ratio = ratio;
+        best_idx = i;
+      }
+    }
+    (*cursors)[best_level] = best_idx + 1;
+    pick.inputs0.push_back(files[best_idx]);
+  }
+  std::string smallest, largest;
+  for (const FileMeta& f : pick.inputs0) {
+    if (smallest.empty() || f.smallest < smallest) smallest = f.smallest;
+    if (largest.empty() || f.largest > largest) largest = f.largest;
+  }
+  pick.inputs1 = ref.Overlapping(best_level + 1, smallest, largest);
+  pick.drop_tombstones = true;
+  for (int l = best_level + 2; l < ref.num_levels(); l++) {
+    if (!ref.files(l).empty()) pick.drop_tombstones = false;
+  }
+  pick.trivial_move = best_level >= 1 && pick.inputs0.size() == 1 &&
+                      pick.inputs1.empty();
+  return pick;
+}
+
+TEST_F(VersionTest, PickCompactionMatchesLinearPicker) {
+  Rng rng(777);
+  int valid_picks = 0;
+  int l1_picks = 0;
+  for (int round = 0; round < 40; round++) {
+    const int levels = 3 + static_cast<int>(rng.Uniform(5));
+    ReferenceLevels ref(levels);
+    VersionSet vs(&fs_, "db" + std::to_string(round), levels);
+    ASSERT_TRUE(vs.Recover().ok());
+    LsmOptions options;
+    options.max_levels = levels;
+    options.l0_compaction_trigger = 1 + static_cast<int>(rng.Uniform(6));
+    options.l1_target_bytes = (1 + rng.Uniform(8)) << 20;
+    options.level_size_ratio = 2.0 + static_cast<double>(rng.Uniform(9));
+    std::vector<uint64_t> cursors;
+    for (int step = 0; step < 60; step++) {
+      const VersionEdit edit = ref.RandomEdit(rng, &vs);
+      ASSERT_TRUE(vs.LogAndApply(edit).ok());
+      ref.Apply(edit);
+      const CompactionPick want =
+          ReferencePickCompaction(ref, options, &cursors);
+      const CompactionPick got = PickCompaction(vs, options);
+      ASSERT_EQ(got.valid, want.valid) << "round " << round;
+      if (!want.valid) continue;
+      valid_picks++;
+      if (want.level >= 1) l1_picks++;
+      EXPECT_EQ(got.level, want.level);
+      EXPECT_EQ(got.score, want.score);
+      EXPECT_EQ(Numbers(got.inputs0), Numbers(want.inputs0));
+      EXPECT_EQ(Numbers(got.inputs1), Numbers(want.inputs1));
+      EXPECT_EQ(got.trivial_move, want.trivial_move);
+      EXPECT_EQ(got.drop_tombstones, want.drop_tombstones);
+    }
+  }
+  // The mix exercised both L0 and L1+ picks.
+  EXPECT_GT(valid_picks, l1_picks);
+  EXPECT_GT(l1_picks, 100);
 }
 
 TEST(LevelMathTest, TargetsGrowByRatio) {

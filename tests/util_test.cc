@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "util/crc32.h"
+#include "util/crc32_internal.h"
 #include "util/encoding.h"
 #include "util/histogram.h"
 #include "util/human.h"
@@ -163,6 +166,49 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
   // Note: our API extends by continuing from the previous crc.
   crc = Crc32c(crc, data.data() + 10, data.size() - 10);
   EXPECT_EQ(crc, Crc32c(data));
+}
+
+// Crc32c dispatches to the SSE4.2 instruction where the CPU has it; the
+// slice-by-8 table is the fallback. Both must agree bit for bit, at every
+// length, alignment and split point.
+TEST(Crc32Test, DispatchedMatchesPortable) {
+  using crc32c_internal::Crc32cPortable;
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  EXPECT_EQ(crc32c_internal::HardwareCrc32c(),
+            __builtin_cpu_supports("sse4.2") != 0);
+#endif
+  if (!crc32c_internal::HardwareCrc32c()) {
+    std::printf("no CRC-32C instruction: checking the portable path only\n");
+  }
+  RecordProperty("hardware_crc32c", crc32c_internal::HardwareCrc32c());
+
+  EXPECT_EQ(Crc32cPortable(0, "123456789", 9), 0xE3069283u);
+  EXPECT_EQ(Crc32c(0, "123456789", 9), 0xE3069283u);
+
+  Rng rng(20201);
+  std::vector<uint8_t> buf(9000 + 8);
+  rng.FillBytes(buf.data(), buf.size());
+  std::vector<size_t> lengths = {0, 1, 7, 8, 9, 63, 64, 65, 4095, 4096,
+                                 4097, 8999, 9000};
+  for (int i = 0; i < 200; i++) lengths.push_back(rng.Uniform(9001));
+  for (const size_t len : lengths) {
+    for (size_t align = 0; align < 8; align++) {
+      const uint8_t* p = buf.data() + align;
+      const uint32_t want = Crc32cPortable(0, p, len);
+      ASSERT_EQ(Crc32c(0, p, len), want) << "len " << len << " align "
+                                         << align;
+      // Chained calls over a random split extend the same checksum, on
+      // both paths, and from a non-zero start value.
+      const size_t cut = len == 0 ? 0 : rng.Uniform(len + 1);
+      EXPECT_EQ(Crc32c(Crc32c(0, p, cut), p + cut, len - cut), want)
+          << "len " << len << " align " << align << " cut " << cut;
+      EXPECT_EQ(Crc32cPortable(Crc32cPortable(0, p, cut), p + cut,
+                               len - cut),
+                want);
+      EXPECT_EQ(Crc32c(want, p, len), Crc32cPortable(want, p, len));
+    }
+  }
 }
 
 TEST(Crc32Test, MaskRoundTrip) {
