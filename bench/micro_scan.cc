@@ -29,6 +29,13 @@
 //    while the snapshot lives and return to exactly 0 after the last
 //    reference drops — pins are accounted, not leaked.
 //
+// 4. Short scans — 100-entry scans (readahead 4, read_queue_depth 4)
+//    from seeded keys on a multi-level store of small tables, bare lsm
+//    and cached/lsm. Prints block-layer read commands and simulated ms
+//    per scan. Self-check: a scan reads fewer commands than the store
+//    has SST files. An LSM cursor that seeks every table above the
+//    target (instead of one table per level) fails it.
+//
 //   ./build/micro_scan
 //   ./build/micro_scan --smoke        # CI-sized, same self-checks
 #include <atomic>
@@ -41,6 +48,7 @@
 #include <thread>
 #include <vector>
 
+#include "block/iostat.h"
 #include "block/memory_device.h"
 #include "core/report.h"
 #include "fs/filesystem.h"
@@ -53,6 +61,7 @@
 #include "util/crc32.h"
 #include "util/human.h"
 #include "util/logging.h"
+#include "util/random.h"
 
 using namespace ptsb;
 
@@ -346,6 +355,79 @@ bool RunPinCell(const Flags& flags, const EngineConfig& config) {
   return true;
 }
 
+// ---- Cell 4: short scans from seeded keys on a multi-level LSM.
+
+constexpr uint64_t kShortScanKeys = 20000;
+constexpr int kShortScans = 200;
+constexpr int kShortScanEntries = 100;
+
+struct ShortScanCell {
+  size_t sst_files = 0;
+  double reads_per_scan = 0;
+  double ms_per_scan = 0;
+};
+
+ShortScanCell RunShortScanCell(const EngineConfig& config) {
+  sim::SimClock clock;
+  ssd::SsdConfig cfg;
+  cfg.geometry.logical_bytes = 512ull << 20;
+  cfg.channels = 4;
+  cfg.timing.cache_bytes = 0;
+  ssd::SsdDevice ssd(cfg, &clock);
+  block::IoStatCollector io(&ssd);
+  fs::SimpleFs fs(&io, {});
+
+  kv::EngineOptions options;
+  options.engine = config.engine;
+  options.fs = &fs;
+  options.clock = &clock;
+  options.params = config.params;
+  // 16 KiB tables: the store spans two levels of many tables each.
+  options.params["sst_target_bytes"] = std::to_string(16 << 10);
+  options.params["read_queue_depth"] = "4";
+  auto opened = kv::OpenStore(options);
+  PTSB_CHECK_OK(opened.status());
+  auto store = *std::move(opened);
+
+  Rng rng(7);
+  kv::WriteBatch batch;
+  for (uint64_t i = 0; i < kShortScanKeys; i++) {
+    const uint64_t id = rng.Uniform(kShortScanKeys);
+    batch.Put(kv::MakeKey(id), kv::MakeValue(id, 64));
+    if (batch.Count() >= 64) {
+      PTSB_CHECK_OK(store->Write(batch));
+      batch.Clear();
+    }
+  }
+  if (!batch.empty()) PTSB_CHECK_OK(store->Write(batch));
+  PTSB_CHECK_OK(store->Flush());
+  PTSB_CHECK_OK(store->SettleBackgroundWork());
+
+  ShortScanCell r;
+  for (const std::string& name : fs.List()) {
+    if (name.ends_with(".sst")) r.sst_files++;
+  }
+  const uint64_t reads_before = io.counters().read_ops;
+  const int64_t t0 = clock.NowNanos();
+  for (int scan = 0; scan < kShortScans; scan++) {
+    std::unique_ptr<kv::KVStore::Iterator> it =
+        store->NewIterator(kv::ReadOptions{.readahead = 4});
+    int n = 0;
+    for (it->Seek(kv::MakeKey(rng.Uniform(kShortScanKeys)));
+         it->Valid() && n < kShortScanEntries; it->Next()) {
+      n++;
+    }
+    PTSB_CHECK_OK(it->status());
+  }
+  r.reads_per_scan =
+      static_cast<double>(io.counters().read_ops - reads_before) /
+      kShortScans;
+  r.ms_per_scan =
+      static_cast<double>(clock.NowNanos() - t0) / 1e6 / kShortScans;
+  PTSB_CHECK_OK(store->Close());
+  return r;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -437,6 +519,29 @@ int main(int argc, char** argv) {
                                  AllEngineConfigs()[2],     // alog
                                  AllEngineConfigs()[6]}) {  // cached/lsm
     if (!RunPinCell(flags, config)) return 1;
+  }
+
+  // ---- Cell 4: short scans must read one table per level, not every
+  // table above the target.
+  std::printf("\nmicro_scan cell 4: %d x %d-entry scans from seeded keys "
+              "(readahead 4, qd 4, 4 channels), %llu keys x 64 B in 16 KiB "
+              "tables\n",
+              kShortScans, kShortScanEntries,
+              static_cast<unsigned long long>(kShortScanKeys));
+  for (const EngineConfig& config :
+       std::vector<EngineConfig>{AllEngineConfigs()[0],     // lsm
+                                 AllEngineConfigs()[6]}) {  // cached/lsm
+    const ShortScanCell cell = RunShortScanCell(config);
+    std::printf("  %-12s %4zu SSTs  %7.1f device reads/scan  %7.3f sim "
+                "ms/scan\n",
+                config.label.c_str(), cell.sst_files, cell.reads_per_scan,
+                cell.ms_per_scan);
+    if (cell.reads_per_scan >= static_cast<double>(cell.sst_files)) {
+      std::printf("FAIL: %s short scans read %.1f commands each, not below "
+                  "the store's %zu SST files\n",
+                  config.label.c_str(), cell.reads_per_scan, cell.sst_files);
+      return 1;
+    }
   }
 
   const std::string csv_path = core::WriteResultsFile("micro_scan.csv", csv);

@@ -1,6 +1,7 @@
 #include "lsm/lsm_store.h"
 
 #include <algorithm>
+#include <span>
 
 #include "util/human.h"
 #include "util/logging.h"
@@ -596,6 +597,30 @@ bool CoveredByRange(const std::vector<RangeTombstone>& tombstones,
   return false;
 }
 
+// Index of the first file in a sorted, disjoint run of files whose
+// largest key is >= key (files.size() if none): the only file that can
+// hold `key`, and the file a seek to `key` starts in.
+size_t FirstFileAtOrAbove(std::span<const FileMeta> files,
+                          std::string_view key) {
+  return static_cast<size_t>(
+      std::partition_point(
+          files.begin(), files.end(),
+          [key](const FileMeta& f) { return f.largest < key; }) -
+      files.begin());
+}
+
+// Files of `level` a point read of `key` probes, in order: every L0
+// file, newest first (they overlap; the caller range-checks each), or
+// the one deeper-level file whose range covers `key` (none if it falls
+// between files).
+std::span<const FileMeta> CandidateFiles(const std::vector<FileMeta>& files,
+                                         size_t level, std::string_view key) {
+  if (level == 0) return files;
+  const size_t i = FirstFileAtOrAbove(files, key);
+  if (i == files.size() || key < files[i].smallest) return {};
+  return std::span<const FileMeta>(files).subspan(i, 1);
+}
+
 // Newest version of `key` with seq <= bound in one table. SstReader::Get
 // only surfaces the newest version outright, so bounded lookups walk the
 // versions (internal order: newest first) through an iterator.
@@ -715,7 +740,7 @@ Status LsmStore::SnapshotGetInternal(const SnapshotImpl& snap,
     return Status::OK();
   }
   for (size_t level = 0; level < snap.levels_.size(); level++) {
-    for (const FileMeta& f : snap.levels_[level]) {
+    for (const FileMeta& f : CandidateFiles(snap.levels_[level], level, key)) {
       if (key < f.smallest || key > f.largest) continue;
       PTSB_ASSIGN_OR_RETURN(SstReader * reader, GetReader(f.number));
       PTSB_ASSIGN_OR_RETURN(auto result, BoundedSstGet(reader, key, snap.seq_));
@@ -728,7 +753,6 @@ Status LsmStore::SnapshotGetInternal(const SnapshotImpl& snap,
         stats_.user_bytes_read += value->size();
         return Status::OK();
       }
-      if (level > 0) break;
     }
   }
   return Status::NotFound("no such key");
@@ -767,7 +791,8 @@ Status LsmStore::GetInternal(std::string_view key, std::string* value) {
   }
   // L0 newest-first, then deeper levels.
   for (int level = 0; level < versions_->num_levels(); level++) {
-    for (const FileMeta& f : versions_->LevelFiles(level)) {
+    for (const FileMeta& f :
+         CandidateFiles(versions_->LevelFiles(level), level, key)) {
       if (key < f.smallest || key > f.largest) continue;
       PTSB_ASSIGN_OR_RETURN(SstReader * reader, GetReader(f.number));
       PTSB_ASSIGN_OR_RETURN(auto result, reader->Get(key));
@@ -782,8 +807,6 @@ Status LsmStore::GetInternal(std::string_view key, std::string* value) {
         stats_.user_bytes_read += value->size();
         return Status::OK();
       }
-      // L1+ files are disjoint: no other file in this level can match.
-      if (level > 0) break;
     }
   }
   return Status::NotFound("no such key");
@@ -801,16 +824,25 @@ kv::ReadHandle LsmStore::ReadAsync(std::string_view key, std::string* value) {
                        [&] { return Get(key, value); });
 }
 
-// Streaming merge over a memtable and a set of SSTs: picks the smallest
+// Streaming merge over the memtable and the SSTs: picks the smallest
 // entry in internal order, surfaces the newest visible version of each
-// user key, skips point and range tombstones. In live mode the sources
-// are the store's current memtable and version — any write invalidates
-// the iterator (memtable rotation, compaction file deletion). In
-// snapshot mode the sources are the snapshot's pinned memtable and
-// frozen file lists, entries above the snapshot's sequence bound are
-// invisible, and every cursor move takes the commit-exclusion lock — so
-// the cursor survives (and serializes against) concurrent writers. The
-// snapshot must outlive the cursor.
+// user key, skips point and range tombstones. The merge inputs are the
+// memtable, one source per L0 file (L0 files overlap) and one per
+// non-empty deeper level. A deeper level is sorted and disjoint, so its
+// source concatenates the level's files through ONE lazily opened file
+// cursor (RocksDB's LevelIterator): Seek binary-searches the first file
+// whose largest key reaches the target and reads only that file, and a
+// cursor that runs off a file's end opens the next one. A Seek thus
+// reads at most one file per L0 file and per deeper level.
+//
+// In live mode the sources are the store's current memtable and a copy
+// of its file lists — any write invalidates the iterator (memtable
+// rotation, compaction file deletion). In snapshot mode the sources are
+// the snapshot's pinned memtable and frozen file lists, entries above
+// the snapshot's sequence bound are invisible, and every cursor move
+// takes the commit-exclusion lock — so the cursor survives (and
+// serializes against) concurrent writers. The snapshot must outlive the
+// cursor.
 class LsmStore::MergingIterator : public kv::KVStore::Iterator {
  public:
   MergingIterator(LsmStore* store, const SnapshotImpl* snap, int readahead)
@@ -823,44 +855,30 @@ class LsmStore::MergingIterator : public kv::KVStore::Iterator {
     // readahead > 1: prefetch that many data blocks per span, split
     // across foreground-read lanes at the engine's read_queue_depth so
     // one span's chunks overlap across SSD channels.
-    uint64_t ra_bytes = 0;
-    int depth = 1;
     if (readahead > 1) {
-      ra_bytes = static_cast<uint64_t>(readahead) *
-                 store_->options_.block_bytes;
-      depth = std::min(readahead,
-                       std::max(1, store_->options_.read_queue_depth));
+      ra_bytes_ = static_cast<uint64_t>(readahead) *
+                  store_->options_.block_bytes;
+      depth_ = std::min(readahead,
+                        std::max(1, store_->options_.read_queue_depth));
     }
-    Source mem_source;
     const Memtable* mt = snap != nullptr ? snap->memtable_.get()
                                          : store_->memtable_.get();
-    mem_source.mem = std::make_unique<Memtable::Iterator>(mt);
-    sources_.push_back(std::move(mem_source));
-    auto add_file = [&](const FileMeta& f) {
-      auto reader = store_->GetReader(f.number);
-      if (!reader.ok()) {
-        status_ = reader.status();
-        return false;
-      }
-      Source s;
-      s.sst = std::make_unique<SstReader::Iterator>(
-          *reader, ra_bytes, depth > 1 ? store_->options_.clock : nullptr,
-          store_->options_.io_queue, depth);
-      s.largest = f.largest;
-      sources_.push_back(std::move(s));
-      return true;
-    };
-    if (snap != nullptr) {
-      for (const auto& level : snap->levels_) {
-        for (const FileMeta& f : level) {
-          if (!add_file(f)) return;
-        }
-      }
-    } else {
+    sources_.emplace_back().mem = std::make_unique<Memtable::Iterator>(mt);
+    if (snap == nullptr) {
       for (int level = 0; level < store_->versions_->num_levels(); level++) {
-        for (const FileMeta& f : store_->versions_->LevelFiles(level)) {
-          if (!add_file(f)) return;
+        live_levels_.push_back(store_->versions_->LevelFiles(level));
+      }
+    }
+    const auto& levels = snap != nullptr ? snap->levels_ : live_levels_;
+    for (size_t level = 0; level < levels.size(); level++) {
+      const std::span<const FileMeta> files = levels[level];
+      if (files.empty()) continue;
+      if (level == 0) {
+        for (size_t i = 0; i < files.size(); i++) {
+          sources_.emplace_back().files = files.subspan(i, 1);
         }
+      } else {
+        sources_.emplace_back().files = files;
       }
     }
   }
@@ -899,13 +917,33 @@ class LsmStore::MergingIterator : public kv::KVStore::Iterator {
   Status status() const override { return status_; }
 
  private:
+  // One merge input: the memtable, or a sorted, disjoint run of SSTs (one
+  // L0 file, or a whole deeper level) read through at most one open file
+  // cursor.
+  struct Source {
+    std::unique_ptr<Memtable::Iterator> mem;  // memtable source only
+    std::span<const FileMeta> files;          // SST source only
+    size_t file = 0;  // index in `files` of the file `sst` reads
+    // Null until the first Seek, and when no file reaches the target.
+    std::unique_ptr<SstReader::Iterator> sst;
+    bool Valid() const {
+      return mem ? mem->Valid() : sst != nullptr && sst->Valid();
+    }
+    std::string_view key() const { return mem ? mem->key() : sst->key(); }
+    SequenceNumber seq() const { return mem ? mem->seq() : sst->seq(); }
+    EntryType type() const { return mem ? mem->type() : sst->type(); }
+    std::string_view value() const {
+      return mem ? mem->value() : sst->value();
+    }
+  };
+
   void SeekImpl(std::string_view target) {
     CheckEpoch();
     if (!status_.ok()) return;
     valid_ = false;
     have_last_ = false;
     for (Source& s : sources_) {
-      const Status st = s.Seek(target);
+      const Status st = SeekSource(s, target);
       if (!st.ok()) {
         status_ = st;
         return;
@@ -918,9 +956,59 @@ class LsmStore::MergingIterator : public kv::KVStore::Iterator {
     CheckEpoch();
     if (!valid_) return;
     valid_ = false;
-    status_ = sources_[current_].Advance();
+    status_ = AdvanceSource(sources_[current_]);
     if (!status_.ok()) return;
     FindNextLiveEntry();
+  }
+
+  Status SeekSource(Source& s, std::string_view target) {
+    if (s.mem) {
+      s.mem->Seek(target);
+      return Status::OK();
+    }
+    // Files entirely below the target are skipped without an index
+    // search or a block read; only the first file that reaches it opens.
+    s.sst.reset();
+    s.file = FirstFileAtOrAbove(s.files, target);
+    if (s.file == s.files.size()) return Status::OK();
+    PTSB_RETURN_IF_ERROR(OpenFile(s));
+    PTSB_RETURN_IF_ERROR(s.sst->Seek(target));
+    return SkipExhaustedFiles(s);
+  }
+
+  Status AdvanceSource(Source& s) {
+    if (s.mem) {
+      s.mem->Next();
+      return Status::OK();
+    }
+    PTSB_RETURN_IF_ERROR(s.sst->Next());
+    return SkipExhaustedFiles(s);
+  }
+
+  // Moves an exhausted file cursor on to the first entry of the next file.
+  Status SkipExhaustedFiles(Source& s) {
+    while (!s.sst->Valid() && s.file + 1 < s.files.size()) {
+      s.file++;
+      PTSB_RETURN_IF_ERROR(OpenFile(s));
+      PTSB_RETURN_IF_ERROR(s.sst->SeekToFirst());
+    }
+    return Status::OK();
+  }
+
+  // Points s.sst at a new cursor on s.files[s.file] with the scan's
+  // readahead. The table cache is shared with point reads, so live mode
+  // takes the commit-exclusion lock that snapshot mode already holds.
+  Status OpenFile(Source& s) {
+    const uint64_t number = s.files[s.file].number;
+    StatusOr<SstReader*> reader =
+        snap_ != nullptr ? store_->GetReader(number)
+                         : store_->write_group_.RunExclusive(
+                               [&] { return store_->GetReader(number); });
+    PTSB_RETURN_IF_ERROR(reader.status());
+    s.sst = std::make_unique<SstReader::Iterator>(
+        *reader, ra_bytes_, depth_ > 1 ? store_->options_.clock : nullptr,
+        store_->options_.io_queue, depth_);
+    return Status::OK();
   }
 
   // Debug-build fail-fast on use-after-write: a write can rotate the
@@ -934,41 +1022,6 @@ class LsmStore::MergingIterator : public kv::KVStore::Iterator {
            "observe the store as of creation and are invalidated by "
            "writes (create, consume, discard)";
   }
-
-  struct Source {
-    // Exactly one of mem/sst is set.
-    std::unique_ptr<Memtable::Iterator> mem;
-    std::unique_ptr<SstReader::Iterator> sst;
-    std::string largest;  // sst only: upper key bound for pruning
-    bool pruned = false;  // file cannot contain keys >= the seek target
-    bool Valid() const {
-      return !pruned && (mem ? mem->Valid() : sst->Valid());
-    }
-    std::string_view key() const { return mem ? mem->key() : sst->key(); }
-    SequenceNumber seq() const { return mem ? mem->seq() : sst->seq(); }
-    EntryType type() const { return mem ? mem->type() : sst->type(); }
-    std::string_view value() const {
-      return mem ? mem->value() : sst->value();
-    }
-    Status Seek(std::string_view target) {
-      if (mem) {
-        mem->Seek(target);
-        return Status::OK();
-      }
-      // Skip the index search and block read for files entirely below
-      // the target (the dominant case when seeking into a big store).
-      pruned = largest < target;
-      if (pruned) return Status::OK();
-      return sst->Seek(target);
-    }
-    Status Advance() {
-      if (mem) {
-        mem->Next();
-        return Status::OK();
-      }
-      return sst->Next();
-    }
-  };
 
   // Advances past shadowed versions and tombstones until positioned on
   // the newest live version of the next user key (or exhausts sources).
@@ -988,7 +1041,7 @@ class LsmStore::MergingIterator : public kv::KVStore::Iterator {
       if (src.seq() > bound_) {
         // Written after the snapshot: invisible, and it does NOT shadow —
         // an older visible version of the same key may follow.
-        status_ = src.Advance();
+        status_ = AdvanceSource(src);
         continue;
       }
       const bool shadowed = have_last_ && src.key() == last_user_key_;
@@ -1005,7 +1058,7 @@ class LsmStore::MergingIterator : public kv::KVStore::Iterator {
           return;
         }
       }
-      status_ = src.Advance();
+      status_ = AdvanceSource(src);
     }
   }
 
@@ -1014,6 +1067,11 @@ class LsmStore::MergingIterator : public kv::KVStore::Iterator {
   const uint64_t epoch_;  // store_->write_epoch_ at creation
   const SequenceNumber bound_;  // newest visible sequence
   const std::vector<RangeTombstone> tombstones_;
+  // Live mode: the version's file lists as of creation (the sources'
+  // spans point into them). Snapshot mode reads the snapshot's own.
+  std::vector<std::vector<FileMeta>> live_levels_;
+  uint64_t ra_bytes_ = 0;  // readahead span per file cursor; 0: per block
+  int depth_ = 1;          // foreground-read lanes per span
   std::vector<Source> sources_;
   size_t current_ = 0;  // source providing the current entry
   std::string last_user_key_;

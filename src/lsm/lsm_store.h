@@ -56,8 +56,10 @@ class LsmStore : public kv::KVStore {
   // pinned memtable + file lists at its sequence bound.
   Status Get(const kv::ReadOptions& opts, std::string_view key,
              std::string* value) override;
-  // Merging iterator over the memtable and every live SST. Invalidated by
-  // any write to the store (no snapshot pinning).
+  // Merging iterator over the memtable, each L0 file and one lazily
+  // opened cursor per deeper level, so a Seek reads at most one file per
+  // level >= 1. Invalidated by any write to the store (no snapshot
+  // pinning).
   std::unique_ptr<kv::KVStore::Iterator> NewIterator() override;
   // Snapshot / readahead variant. With a snapshot the cursor reads the
   // pinned sources (shared memtable, pinned SSTs) at the snapshot's

@@ -3,12 +3,17 @@
 // structure invariants.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
 #include <string>
+#include <vector>
 
+#include "block/iostat.h"
 #include "block/memory_device.h"
 #include "fs/filesystem.h"
 #include "lsm/lsm_store.h"
 #include "test_support.h"
+#include "util/human.h"
 #include "util/random.h"
 
 namespace ptsb::lsm {
@@ -366,6 +371,230 @@ TEST_F(LsmStoreTest, SequentialLoadUsesTrivialMoves) {
   // what random updates would cause.
   EXPECT_LT(static_cast<double>(stats.compaction_bytes_written),
             1.0 * static_cast<double>(stats.flush_bytes_written));
+  ASSERT_TRUE(store->Close().ok());
+}
+
+// ---- Level cursors: a store with several L0 files and deeper levels of
+// many files each, read through the merging iterator.
+
+// Fixed-size entries: a 9-byte key and a 74-byte value encode to 93 bytes
+// (varint 1 + 9 + tag 8 + varint 1 + 74), so 44 of them fill a 4092-byte
+// block whose 4-byte CRC completes exactly one 4 KiB device page — every
+// data-block read is one device read command.
+LsmOptions ManyFilesOptions() {
+  LsmOptions o;
+  o.memtable_bytes = 8 << 10;
+  o.l0_compaction_trigger = 4;
+  o.l0_stall_trigger = 8;
+  o.l1_target_bytes = 48 << 10;
+  o.level_size_ratio = 4;
+  o.sst_target_bytes = 16 << 10;
+  o.block_bytes = 4092;
+  return o;
+}
+
+std::string FixedKey(uint64_t id) {
+  return StrPrintf("key%06llu", static_cast<unsigned long long>(id));
+}
+
+std::string FixedValue(uint64_t id, int round) {
+  std::string v = StrPrintf("r%02d-%06llu-", round,
+                            static_cast<unsigned long long>(id));
+  v.resize(74, 'v');
+  return v;
+}
+
+// Loads 3000 keys in shuffled order, overwrites a third of them, settles
+// compaction, then flushes three more L0 files and leaves a few writes in
+// the memtable. Puts only: every key's newest version is live.
+void BuildManyFileStore(LsmStore* store, testing::ReferenceModel* model) {
+  constexpr uint64_t kKeys = 3000;
+  Rng rng(42);
+  std::vector<uint64_t> ids(kKeys);
+  for (uint64_t i = 0; i < kKeys; i++) ids[i] = i;
+  for (uint64_t i = kKeys - 1; i > 0; i--) {
+    std::swap(ids[i], ids[rng.Uniform(i + 1)]);
+  }
+  auto put = [&](uint64_t id, int round) {
+    ASSERT_TRUE(store->Put(FixedKey(id), FixedValue(id, round)).ok());
+    model->Put(FixedKey(id), FixedValue(id, round));
+  };
+  for (const uint64_t id : ids) put(id, 0);
+  for (uint64_t i = 0; i < kKeys / 3; i++) put(rng.Uniform(kKeys), 1);
+  ASSERT_TRUE(store->DrainCompactions().ok());
+  for (int round = 2; round < 5; round++) {
+    for (int i = 0; i < 40; i++) put(rng.Uniform(kKeys), round);
+    ASSERT_TRUE(store->Flush().ok());
+  }
+  for (int i = 0; i < 20; i++) put(rng.Uniform(kKeys), 5);
+
+  const VersionSet& v = store->versions();
+  ASSERT_TRUE(v.CheckInvariants().ok());
+  ASSERT_GE(v.LevelFiles(0).size(), 2u);
+  int deep_levels = 0;
+  for (int level = 1; level < v.num_levels(); level++) {
+    if (v.LevelFiles(level).size() >= 4) deep_levels++;
+  }
+  ASSERT_GE(deep_levels, 2) << store->DebugString();
+}
+
+// Seek targets that probe every file edge: each file's smallest and
+// largest key, the gap just past each largest key (between two files of
+// a level), and keys before the first and after the last.
+std::vector<std::string> EdgeTargets(const VersionSet& v) {
+  std::vector<std::string> targets = {"", "a", "key", "zzz"};
+  for (int level = 0; level < v.num_levels(); level++) {
+    for (const FileMeta& f : v.LevelFiles(level)) {
+      targets.push_back(f.smallest);
+      targets.push_back(f.largest);
+      targets.push_back(f.largest + '\0');
+    }
+  }
+  return targets;
+}
+
+// Seek(target) and `steps` Next calls must walk exactly the reference's
+// entries from its lower_bound.
+void ExpectSeekMatches(kv::KVStore::Iterator* it,
+                       const std::map<std::string, std::string>& ref,
+                       const std::string& target, int steps) {
+  SCOPED_TRACE("target '" + target + "'");
+  it->Seek(target);
+  auto want = ref.lower_bound(target);
+  for (int i = 0; i < steps && want != ref.end(); i++, ++want) {
+    ASSERT_TRUE(it->Valid()) << "step " << i;
+    ASSERT_EQ(it->key(), want->first) << "step " << i;
+    ASSERT_EQ(it->value(), want->second) << "step " << i;
+    it->Next();
+  }
+  if (want == ref.end()) {
+    EXPECT_FALSE(it->Valid());
+  }
+  ASSERT_TRUE(it->status().ok()) << it->status().ToString();
+}
+
+void ExpectIteratorMatches(LsmStore* store, const kv::Snapshot* snap,
+                           const std::map<std::string, std::string>& ref,
+                           const std::vector<std::string>& targets) {
+  for (const int readahead : {0, 4}) {
+    SCOPED_TRACE(StrPrintf("%s, readahead %d",
+                           snap != nullptr ? "snapshot" : "live", readahead));
+    auto it = store->NewIterator(
+        kv::ReadOptions{.snapshot = snap, .readahead = readahead});
+    // 200 steps cross at least one whole table (16 KiB, ~176 entries).
+    for (const std::string& t : targets) {
+      ExpectSeekMatches(it.get(), ref, t, 200);
+    }
+    ExpectSeekMatches(it.get(), ref, "", static_cast<int>(ref.size()) + 1);
+  }
+}
+
+TEST_F(LsmStoreTest, IteratorMatchesReferenceAcrossFileBoundaries) {
+  auto store = *LsmStore::Open(&fs_, ManyFilesOptions());
+  testing::ReferenceModel model;
+  BuildManyFileStore(store.get(), &model);
+  if (HasFatalFailure()) return;
+
+  // Deletes on both sides of a file boundary in the deepest level, and a
+  // range delete spanning the next boundary; flushed into an L0 file.
+  const VersionSet& v = store->versions();
+  const std::vector<FileMeta>& deepest =
+      v.LevelFiles(v.MaxPopulatedLevel());
+  ASSERT_GE(deepest.size(), 4u);
+  for (const std::string& k : {deepest[0].largest, deepest[1].smallest}) {
+    ASSERT_TRUE(store->Delete(k).ok());
+    model.Delete(k);
+  }
+  auto boundary = model.map().find(deepest[2].largest);
+  ASSERT_NE(boundary, model.map().end());
+  const std::string begin = std::prev(boundary, 5)->first;
+  const std::string end = std::next(boundary, 6)->first;
+  ASSERT_TRUE(store->DeleteRange(begin, end).ok());
+  model.DeleteRange(begin, end);
+  ASSERT_TRUE(store->Flush().ok());
+
+  ExpectIteratorMatches(store.get(), nullptr, model.map(), EdgeTargets(v));
+
+  // Snapshot mode: the cursor keeps reading the frozen levels while the
+  // live store is overwritten, range-deleted and compacted.
+  auto snap = *store->GetSnapshot();
+  const std::map<std::string, std::string> frozen = model.map();
+  const std::vector<std::string> frozen_targets = EdgeTargets(v);
+  for (uint64_t id = 0; id < 3000; id += 3) {
+    ASSERT_TRUE(store->Put(FixedKey(id), FixedValue(id, 9)).ok());
+    model.Put(FixedKey(id), FixedValue(id, 9));
+  }
+  ASSERT_TRUE(store->DeleteRange(FixedKey(1000), FixedKey(1400)).ok());
+  model.DeleteRange(FixedKey(1000), FixedKey(1400));
+  ASSERT_TRUE(store->Flush().ok());
+  ASSERT_TRUE(store->DrainCompactions().ok());
+
+  ExpectIteratorMatches(store.get(), snap.get(), frozen, frozen_targets);
+  ExpectIteratorMatches(store.get(), nullptr, model.map(), EdgeTargets(v));
+  snap.reset();
+  ASSERT_TRUE(store->Close().ok());
+}
+
+TEST(LsmLevelCursorTest, SeekReadsAtMostOneBlockPerSource) {
+  block::MemoryBlockDevice dev(4096, 1 << 15);
+  block::IoStatCollector io(&dev);
+  fs::FsOptions fs_options;
+  fs_options.append_alloc_pages = 8;
+  fs::SimpleFs fs(&io, fs_options);
+  auto store = *LsmStore::Open(&fs, ManyFilesOptions());
+  testing::ReferenceModel model;
+  BuildManyFileStore(store.get(), &model);
+  if (HasFatalFailure()) return;
+
+  // Warm-up full scan: every table's reader (index + bloom) is open.
+  auto warm = store->NewIterator();
+  size_t n = 0;
+  for (warm->SeekToFirst(); warm->Valid(); warm->Next()) n++;
+  ASSERT_TRUE(warm->status().ok());
+  ASSERT_EQ(n, model.size());
+  warm.reset();
+
+  const VersionSet& v = store->versions();
+  uint64_t sources = v.LevelFiles(0).size();
+  uint64_t files = v.LevelFiles(0).size();
+  for (int level = 1; level < v.num_levels(); level++) {
+    if (!v.LevelFiles(level).empty()) sources++;
+    files += v.LevelFiles(level).size();
+  }
+  ASSERT_GT(files, 2 * sources);
+  // A readahead-0 Seek reads one block from each L0 file and from one
+  // file per deeper level at most; seeking every file above the target
+  // would read about one block per file.
+  for (const std::string& target : EdgeTargets(v)) {
+    const block::IoCounters before = io.counters();
+    auto it = store->NewIterator();
+    it->Seek(target);
+    const uint64_t reads = (io.counters() - before).read_ops;
+    ASSERT_TRUE(it->status().ok());
+    EXPECT_LE(reads, sources) << "target '" << target << "'";
+  }
+  ASSERT_TRUE(store->Close().ok());
+}
+
+TEST_F(LsmStoreTest, LazyReaderOpenErrorSurfacesInStatus) {
+  {
+    auto store = *LsmStore::Open(&fs_, ManyFilesOptions());
+    testing::ReferenceModel model;
+    BuildManyFileStore(store.get(), &model);
+    if (HasFatalFailure()) return;
+    ASSERT_TRUE(store->Close().ok());
+  }
+  // Reopened, no reader is open yet; remove a deep table behind the
+  // store's back so the level cursor's lazy open fails.
+  auto store = *LsmStore::Open(&fs_, ManyFilesOptions());
+  const VersionSet& v = store->versions();
+  const FileMeta victim = v.LevelFiles(v.MaxPopulatedLevel())[1];
+  ASSERT_TRUE(fs_.Delete(VersionSet::SstFileName("lsm", victim.number)).ok());
+  auto it = store->NewIterator();
+  it->Seek(victim.smallest);
+  EXPECT_FALSE(it->Valid());
+  EXPECT_FALSE(it->status().ok());
+  it.reset();
   ASSERT_TRUE(store->Close().ok());
 }
 
