@@ -145,44 +145,33 @@ StatusOr<uint64_t> File::ReadAt(uint64_t offset, uint64_t n, char* dst) const {
   uint64_t pos = offset;
   const uint64_t device_end = std::min(end, tail_start);
   if (pos < device_end) {
-    std::unique_ptr<uint8_t[]> scratch(new uint8_t[page]);
-    // Unaligned head.
-    if (pos % page != 0) {
-      const uint64_t in_page = pos % page;
-      const uint64_t take = std::min(page - in_page, device_end - pos);
-      PTSB_RETURN_IF_ERROR(
-          fs_->device_->Read(fs_->PageToLba(inode, pos / page), 1,
-                             scratch.get()));
-      std::memcpy(dst + done, scratch.get() + in_page, take);
-      pos += take;
-      done += take;
+    // Read every page covering [pos, device_end) with one device command
+    // per physically-contiguous LBA run, as a kernel pread would. Aligned
+    // reads land in dst directly; unaligned ones go through one scratch
+    // buffer and are copied out once.
+    const uint64_t first_page = pos / page;
+    const uint64_t num_pages = (device_end + page - 1) / page - first_page;
+    const bool aligned = pos % page == 0 && device_end % page == 0;
+    std::unique_ptr<uint8_t[]> scratch;
+    uint8_t* buf = reinterpret_cast<uint8_t*>(dst);
+    if (!aligned) {
+      scratch.reset(new uint8_t[num_pages * page]);
+      buf = scratch.get();
     }
-    // Aligned middle: batch physically-contiguous page runs into single
-    // device commands (one command per extent run, not per page).
-    while (pos + page <= device_end) {
-      const uint64_t first_page = pos / page;
-      const uint64_t want_pages = (device_end - pos) / page;
+    for (uint64_t p = 0; p < num_pages;) {
+      const uint64_t first_lba = fs_->PageToLba(inode, first_page + p);
       uint64_t run = 1;
-      const uint64_t first_lba = fs_->PageToLba(inode, first_page);
-      while (run < want_pages &&
-             fs_->PageToLba(inode, first_page + run) == first_lba + run) {
+      while (p + run < num_pages &&
+             fs_->PageToLba(inode, first_page + p + run) == first_lba + run) {
         run++;
       }
-      PTSB_RETURN_IF_ERROR(fs_->device_->Read(
-          first_lba, run, reinterpret_cast<uint8_t*>(dst + done)));
-      pos += run * page;
-      done += run * page;
-    }
-    // Unaligned tail (still device-backed).
-    if (pos < device_end) {
-      const uint64_t take = device_end - pos;
       PTSB_RETURN_IF_ERROR(
-          fs_->device_->Read(fs_->PageToLba(inode, pos / page), 1,
-                             scratch.get()));
-      std::memcpy(dst + done, scratch.get(), take);
-      pos += take;
-      done += take;
+          fs_->device_->Read(first_lba, run, buf + p * page));
+      p += run;
     }
+    if (!aligned) std::memcpy(dst, buf + pos % page, device_end - pos);
+    done = device_end - pos;
+    pos = device_end;
   }
   if (pos < end) {
     // Tail portion (per-file memory; no lock).

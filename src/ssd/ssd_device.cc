@@ -28,9 +28,9 @@ uint8_t* SsdDevice::ChunkFor(uint64_t lpn, bool create) {
   const uint64_t idx = lpn / kPagesPerChunk;
   if (!chunks_[idx]) {
     if (!create) return nullptr;
-    const uint64_t bytes = kPagesPerChunk * config_.geometry.page_bytes;
-    chunks_[idx] = std::make_unique<uint8_t[]>(bytes);
-    std::memset(chunks_[idx].get(), 0, bytes);
+    // make_unique<T[]> value-initialises, so a new chunk reads as zeros.
+    chunks_[idx] = std::make_unique<uint8_t[]>(kPagesPerChunk *
+                                               config_.geometry.page_bytes);
   }
   return chunks_[idx].get();
 }

@@ -2,9 +2,12 @@
 // semantics, extent allocation and fragmentation, nodiscard behavior.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
+#include <utility>
 
+#include "block/iostat.h"
 #include "block/memory_device.h"
 #include "fs/extent_allocator.h"
 #include "fs/file.h"
@@ -259,6 +262,89 @@ TEST_F(FsTest, InterleavedGrowthScattersExtents) {
   // Contents must survive the scattering.
   EXPECT_EQ(ReadAll(a), std::string(64 * kPage, 'a'));
   EXPECT_EQ(ReadAll(b), std::string(64 * kPage, 'b'));
+}
+
+// ReadAt through an IoStatCollector. A 64-byte page keeps a multi-extent
+// file small enough to check every (offset, len) window exhaustively.
+class FsReadAtTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kSmallPage = 64;
+  static constexpr uint64_t kExtentPages = 4;  // SmallFsOptions' alloc unit
+  static constexpr uint64_t kFullPages = 3 * kExtentPages;
+
+  FsReadAtTest()
+      : dev_(kSmallPage, 1024), io_(&dev_), fs_(&io_, SmallFsOptions()) {}
+
+  // "a" grows in lockstep with "b", so each of a's 4-page extents is
+  // physically separate from the next; then an unsynced partial page.
+  void SetUp() override {
+    File* b = *fs_.Create("b");
+    file_ = *fs_.Create("a");
+    for (uint64_t i = 0; i < kFullPages * kSmallPage + 30; i++) {
+      want_.push_back(static_cast<char>(i * 131 + i / 7));
+    }
+    for (uint64_t e = 0; e < kFullPages / kExtentPages; e++) {
+      const uint64_t bytes = kExtentPages * kSmallPage;
+      ASSERT_TRUE(file_->Append(want_.substr(e * bytes, bytes)).ok());
+      ASSERT_TRUE(b->Append(std::string(bytes, 'b')).ok());
+    }
+    ASSERT_TRUE(file_->Append(want_.substr(kFullPages * kSmallPage)).ok());
+    ASSERT_EQ(file_->ExtentCount(), kFullPages / kExtentPages);
+    ASSERT_EQ(file_->synced_size(), kFullPages * kSmallPage);
+  }
+
+  // Reads [off, off + len) and returns the device commands and pages it
+  // issued; the bytes must match the reference.
+  std::pair<uint64_t, uint64_t> Read(uint64_t off, uint64_t len) {
+    std::string got(len, '\0');
+    const block::IoCounters before = io_.counters();
+    auto n = file_->ReadAt(off, len, got.data());
+    const block::IoCounters delta = io_.counters() - before;
+    PTSB_CHECK_OK(n.status());
+    EXPECT_EQ(*n, len);
+    EXPECT_EQ(got, want_.substr(off, len)) << "window " << off << "+" << len;
+    return {delta.read_ops, delta.read_bytes / kSmallPage};
+  }
+
+  block::MemoryBlockDevice dev_;
+  block::IoStatCollector io_;
+  SimpleFs fs_;
+  File* file_ = nullptr;
+  std::string want_;
+};
+
+TEST_F(FsReadAtTest, OneCommandPerContiguousRun) {
+  using Cmds = std::pair<uint64_t, uint64_t>;  // {commands, pages}
+  // Unaligned, 3 pages of one extent: one 3-page command.
+  EXPECT_EQ(Read(10, 2 * kSmallPage), (Cmds{1, 3}));
+  // Unaligned, crossing the first extent boundary: one command per run.
+  EXPECT_EQ(Read(3 * kSmallPage + 10, 2 * kSmallPage), (Cmds{2, 3}));
+  // Aligned reads are unchanged: one command per extent run.
+  EXPECT_EQ(Read(0, kExtentPages * kSmallPage), (Cmds{1, 4}));
+  EXPECT_EQ(Read(2 * kSmallPage, 8 * kSmallPage), (Cmds{3, 8}));
+  // A window ending in the unsynced tail reads only the synced pages.
+  EXPECT_EQ(Read(11 * kSmallPage + 5, kSmallPage + 20), (Cmds{1, 1}));
+  EXPECT_EQ(Read(kFullPages * kSmallPage + 3, 20), (Cmds{0, 0}));
+}
+
+TEST_F(FsReadAtTest, EveryWindowMatchesAndReadsCoveringPagesOnce) {
+  const uint64_t size = want_.size();
+  const uint64_t synced = kFullPages * kSmallPage;
+  for (uint64_t off = 0; off <= size; off++) {
+    for (uint64_t len = 0; off + len <= size; len++) {
+      const auto [cmds, pages] = Read(off, len);
+      const uint64_t device_end = std::min(off + len, synced);
+      if (off >= device_end) {
+        EXPECT_EQ(cmds, 0u);
+        continue;
+      }
+      const uint64_t first = off / kSmallPage;
+      const uint64_t last = (device_end - 1) / kSmallPage;
+      ASSERT_EQ(pages, last - first + 1) << "window " << off << "+" << len;
+      ASSERT_EQ(cmds, last / kExtentPages - first / kExtentPages + 1)
+          << "window " << off << "+" << len;
+    }
+  }
 }
 
 TEST(FsNodiscardTest, DiscardModeTrimsOnDelete) {

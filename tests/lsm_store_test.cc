@@ -576,6 +576,59 @@ TEST(LsmLevelCursorTest, SeekReadsAtMostOneBlockPerSource) {
   ASSERT_TRUE(store->Close().ok());
 }
 
+// 4000-byte values make every data block two entries, about 8 KB, at
+// drifting offsets, so a block straddles two or three pages. A Get the
+// blooms confine to one table must still cost one device command.
+TEST(LsmPointReadTest, GetIssuesOneDeviceReadPerTable) {
+  block::MemoryBlockDevice dev(4096, 1 << 15);
+  block::IoStatCollector io(&dev);
+  fs::FsOptions fs_options;
+  fs_options.append_alloc_pages = 8;
+  fs::SimpleFs fs(&io, fs_options);
+  LsmOptions o = ManyFilesOptions();
+  o.memtable_bytes = 64 << 10;
+  o.l1_target_bytes = 256 << 10;
+  o.sst_target_bytes = 64 << 10;
+  o.block_bytes = 4096;
+  auto store = *LsmStore::Open(&fs, o);
+  constexpr uint64_t kKeys = 300;
+  Rng rng(5);
+  std::vector<uint64_t> ids(kKeys);
+  for (uint64_t i = 0; i < kKeys; i++) ids[i] = i;
+  for (uint64_t i = kKeys - 1; i > 0; i--) {
+    std::swap(ids[i], ids[rng.Uniform(i + 1)]);
+  }
+  for (const uint64_t id : ids) {
+    ASSERT_TRUE(store->Put(FixedKey(id), std::string(4000, 'v')).ok());
+  }
+  ASSERT_TRUE(store->Flush().ok());
+  ASSERT_TRUE(store->DrainCompactions().ok());
+  ASSERT_GE(store->versions().MaxPopulatedLevel(), 1) << store->DebugString();
+
+  // Warm-up full scan: every table's reader (index + bloom) is open.
+  auto warm = store->NewIterator();
+  for (warm->SeekToFirst(); warm->Valid(); warm->Next()) {
+  }
+  ASSERT_TRUE(warm->status().ok());
+  warm.reset();
+
+  uint64_t confined = 0;
+  for (uint64_t id = 0; id < kKeys; id++) {
+    const uint64_t fp_before = store->GetStats().bloom_false_positives;
+    const block::IoCounters before = io.counters();
+    std::string value;
+    ASSERT_TRUE(store->Get(FixedKey(id), &value).ok());
+    const block::IoCounters delta = io.counters() - before;
+    ASSERT_EQ(value.size(), 4000u);
+    if (store->GetStats().bloom_false_positives != fp_before) continue;
+    confined++;
+    EXPECT_EQ(delta.read_ops, 1u) << FixedKey(id);
+    EXPECT_LE(delta.read_bytes, 3 * 4096u) << FixedKey(id);
+  }
+  EXPECT_GE(confined, kKeys * 9 / 10);
+  ASSERT_TRUE(store->Close().ok());
+}
+
 TEST_F(LsmStoreTest, LazyReaderOpenErrorSurfacesInStatus) {
   {
     auto store = *LsmStore::Open(&fs_, ManyFilesOptions());
