@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "util/logging.h"
 
@@ -33,6 +34,12 @@ bool CanDropTombstones(const VersionSet& versions, int output_level) {
 }
 
 namespace {
+
+// Compaction input cursors batch sequential block reads into spans of
+// compaction_readahead_bytes (RocksDB's compaction readahead).
+SstReadahead CompactionReadahead(const LsmOptions& options) {
+  return {.blocks = SIZE_MAX, .bytes = options.compaction_readahead_bytes};
+}
 
 // Key span of a set of files.
 void RangeOf(const std::vector<FileMeta>& files, std::string* smallest,
@@ -175,7 +182,7 @@ Status CompactionJob::Prepare() {
     PTSB_ASSIGN_OR_RETURN(in.owned_reader, SstReader::Open(file));
     in.reader = in.owned_reader.get();
     in.iter = std::make_unique<SstReader::Iterator>(
-        in.reader, options_.compaction_readahead_bytes);
+        in.reader, CompactionReadahead(options_));
     if (!end_key_.empty()) {
       // Don't prefetch past this subrange: cap the span at the block
       // holding end_key_ (blocks are sorted by last key, so the first
@@ -202,7 +209,7 @@ Status CompactionJob::PrepareWithReaders(
     in.meta = meta;
     in.reader = readers[r++];
     in.iter = std::make_unique<SstReader::Iterator>(
-        in.reader, options_.compaction_readahead_bytes);
+        in.reader, CompactionReadahead(options_));
     if (!end_key_.empty()) {
       // Don't prefetch past this subrange: cap the span at the block
       // holding end_key_ (blocks are sorted by last key, so the first

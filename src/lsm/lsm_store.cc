@@ -95,7 +95,7 @@ StatusOr<std::unique_ptr<LsmStore>> LsmStore::Open(fs::SimpleFs* fs,
             store->tombstones_.push_back(RangeTombstone{
                 std::string(key), std::string(value), seq});
           } else {
-            store->memtable_->Add(key, seq, type, value);
+            store->memtable_->Add(key, seq, type, value, /*snapshot_seq=*/0);
           }
           max_seq = std::max(max_seq, seq);
         }));
@@ -182,14 +182,16 @@ Status LsmStore::WriteInternal(const kv::WriteBatch& batch,
     stats_.wal_records++;
   }
   SequenceNumber seq = first_seq;
+  const SequenceNumber snapshot_seq =
+      snapshot_seqs_.empty() ? 0 : *snapshot_seqs_.rbegin();
   for (const kv::WriteBatch::Entry& e : batch.entries()) {
     const SequenceNumber s = seq++;
     switch (e.kind) {
       case kv::WriteBatch::EntryKind::kPut:
-        memtable_->Add(e.key, s, EntryType::kPut, e.value);
+        memtable_->Add(e.key, s, EntryType::kPut, e.value, snapshot_seq);
         break;
       case kv::WriteBatch::EntryKind::kDelete:
-        memtable_->Add(e.key, s, EntryType::kDelete, e.value);
+        memtable_->Add(e.key, s, EntryType::kDelete, e.value, snapshot_seq);
         break;
       case kv::WriteBatch::EntryKind::kDeleteRange:
         // Range tombstones live beside the key space: WAL-logged above,
@@ -231,8 +233,12 @@ Status LsmStore::FlushMemtable() {
   PTSB_ASSIGN_OR_RETURN(fs::File * file,
                         fs_->Create(VersionSet::SstFileName(dir_, number)));
   SstBuilder builder(file, options_.block_bytes, options_.bloom_bits_per_key);
+  // Only each key's newest version is written, the rule compaction
+  // applies: a snapshot that reads an older one pins this memtable, not
+  // the new table.
   Memtable::Iterator it(memtable_.get());
   for (it.SeekToFirst(); it.Valid(); it.Next()) {
+    if (builder.num_entries() > 0 && it.key() == builder.largest()) continue;
     PTSB_RETURN_IF_ERROR(builder.Add(it.key(), it.seq(), it.type(),
                                      it.value()));
   }
@@ -670,6 +676,7 @@ StatusOr<std::shared_ptr<const kv::Snapshot>> LsmStore::GetSnapshot() {
       [&]() -> StatusOr<std::shared_ptr<const kv::Snapshot>> {
         auto snap = std::make_shared<SnapshotImpl>(this);
         snap->seq_ = seq_;
+        snapshot_seqs_.insert(seq_);
         snap->memtable_ = memtable_;
         snap->tombstones_ = tombstones_;
         snap->levels_.resize(versions_->num_levels());
@@ -688,6 +695,7 @@ void LsmStore::ReleaseSnapshot(const SnapshotImpl& snap) {
     for (const auto& level : snap.levels_) {
       for (const FileMeta& f : level) UnpinFile(f.number);
     }
+    snapshot_seqs_.erase(snapshot_seqs_.find(snap.seq_));
     stats_.snapshots_open--;
   });
 }
@@ -852,14 +860,16 @@ class LsmStore::MergingIterator : public kv::KVStore::Iterator {
         bound_(snap != nullptr ? snap->seq_ : ~SequenceNumber{0}),
         tombstones_(snap != nullptr ? snap->tombstones_
                                     : store->tombstones_) {
-    // readahead > 1: prefetch that many data blocks per span, split
-    // across foreground-read lanes at the engine's read_queue_depth so
-    // one span's chunks overlap across SSD channels.
+    // readahead > 1: prefetch that many data blocks per span, continuing
+    // into the level's next file, split across foreground-read lanes at
+    // the engine's read_queue_depth so one span's chunks overlap across
+    // SSD channels.
     if (readahead > 1) {
-      ra_bytes_ = static_cast<uint64_t>(readahead) *
-                  store_->options_.block_bytes;
-      depth_ = std::min(readahead,
-                        std::max(1, store_->options_.read_queue_depth));
+      ra_.blocks = static_cast<size_t>(readahead);
+      ra_.depth = std::min(readahead,
+                           std::max(1, store_->options_.read_queue_depth));
+      if (ra_.depth > 1) ra_.clock = store_->options_.clock;
+      ra_.base_queue = store_->options_.io_queue;
     }
     const Memtable* mt = snap != nullptr ? snap->memtable_.get()
                                          : store_->memtable_.get();
@@ -918,14 +928,18 @@ class LsmStore::MergingIterator : public kv::KVStore::Iterator {
 
  private:
   // One merge input: the memtable, or a sorted, disjoint run of SSTs (one
-  // L0 file, or a whole deeper level) read through at most one open file
-  // cursor.
+  // L0 file, or a whole deeper level) read through one file cursor at a
+  // time, plus cursors on the next files a readahead span already read
+  // into.
   struct Source {
     std::unique_ptr<Memtable::Iterator> mem;  // memtable source only
     std::span<const FileMeta> files;          // SST source only
     size_t file = 0;  // index in `files` of the file `sst` reads
     // Null until the first Seek, and when no file reaches the target.
     std::unique_ptr<SstReader::Iterator> sst;
+    // Cursors on files[file + 1], files[file + 2], ... opened by a span
+    // that continued past the current file's end.
+    std::vector<std::unique_ptr<SstReader::Iterator>> ahead;
     bool Valid() const {
       return mem ? mem->Valid() : sst != nullptr && sst->Valid();
     }
@@ -969,9 +983,10 @@ class LsmStore::MergingIterator : public kv::KVStore::Iterator {
     // Files entirely below the target are skipped without an index
     // search or a block read; only the first file that reaches it opens.
     s.sst.reset();
+    s.ahead.clear();
     s.file = FirstFileAtOrAbove(s.files, target);
     if (s.file == s.files.size()) return Status::OK();
-    PTSB_RETURN_IF_ERROR(OpenFile(s));
+    PTSB_ASSIGN_OR_RETURN(s.sst, OpenCursor(s, s.file));
     PTSB_RETURN_IF_ERROR(s.sst->Seek(target));
     return SkipExhaustedFiles(s);
   }
@@ -986,29 +1001,49 @@ class LsmStore::MergingIterator : public kv::KVStore::Iterator {
   }
 
   // Moves an exhausted file cursor on to the first entry of the next file.
+  // A cursor a span already read into enters that span without a read.
   Status SkipExhaustedFiles(Source& s) {
     while (!s.sst->Valid() && s.file + 1 < s.files.size()) {
       s.file++;
-      PTSB_RETURN_IF_ERROR(OpenFile(s));
+      if (s.ahead.empty()) {
+        PTSB_ASSIGN_OR_RETURN(s.sst, OpenCursor(s, s.file));
+      } else {
+        s.sst = std::move(s.ahead.front());
+        s.ahead.erase(s.ahead.begin());
+      }
       PTSB_RETURN_IF_ERROR(s.sst->SeekToFirst());
     }
     return Status::OK();
   }
 
-  // Points s.sst at a new cursor on s.files[s.file] with the scan's
-  // readahead. The table cache is shared with point reads, so live mode
-  // takes the commit-exclusion lock that snapshot mode already holds.
-  Status OpenFile(Source& s) {
-    const uint64_t number = s.files[s.file].number;
+  // A new cursor on s.files[file] with the scan's readahead, continuing
+  // its spans into the level's next files. The table cache is shared
+  // with point reads, so live mode takes the commit-exclusion lock that
+  // snapshot mode already holds.
+  StatusOr<std::unique_ptr<SstReader::Iterator>> OpenCursor(Source& s,
+                                                            size_t file) {
+    const uint64_t number = s.files[file].number;
     StatusOr<SstReader*> reader =
         snap_ != nullptr ? store_->GetReader(number)
                          : store_->write_group_.RunExclusive(
                                [&] { return store_->GetReader(number); });
     PTSB_RETURN_IF_ERROR(reader.status());
-    s.sst = std::make_unique<SstReader::Iterator>(
-        *reader, ra_bytes_, depth_ > 1 ? store_->options_.clock : nullptr,
-        store_->options_.io_queue, depth_);
-    return Status::OK();
+    auto cursor = std::make_unique<SstReader::Iterator>(*reader, ra_);
+    cursor->ContinueInto([this, &s](const SstReader::Iterator* after)
+                             -> StatusOr<SstReader::Iterator*> {
+      // `after` is s.sst or s.ahead[i]; the file behind it is next.
+      size_t i = 0;
+      if (after != s.sst.get()) {
+        while (s.ahead[i].get() != after) i++;
+        i++;
+      }
+      if (i < s.ahead.size()) return s.ahead[i].get();
+      if (s.file + i + 1 >= s.files.size()) return nullptr;
+      PTSB_ASSIGN_OR_RETURN(auto next, OpenCursor(s, s.file + i + 1));
+      s.ahead.push_back(std::move(next));
+      return s.ahead.back().get();
+    });
+    return cursor;
   }
 
   // Debug-build fail-fast on use-after-write: a write can rotate the
@@ -1070,8 +1105,8 @@ class LsmStore::MergingIterator : public kv::KVStore::Iterator {
   // Live mode: the version's file lists as of creation (the sources'
   // spans point into them). Snapshot mode reads the snapshot's own.
   std::vector<std::vector<FileMeta>> live_levels_;
-  uint64_t ra_bytes_ = 0;  // readahead span per file cursor; 0: per block
-  int depth_ = 1;          // foreground-read lanes per span
+  // The file cursors' span window: one block by default.
+  SstReadahead ra_;
   std::vector<Source> sources_;
   size_t current_ = 0;  // source providing the current entry
   std::string last_user_key_;

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -201,6 +202,9 @@ class LsmStore : public kv::KVStore {
   // stay on the filesystem until the last pin drops.
   std::map<uint64_t, int> pins_;
   std::map<uint64_t, uint64_t> zombies_;
+  // Sequence bounds of the open snapshots: a memtable write may
+  // overwrite a version in place only if it is above the newest one.
+  std::multiset<SequenceNumber> snapshot_seqs_;
 
   SequenceNumber seq_ = 0;
   // Bumped by every mutating entry point (Write, Flush, compaction

@@ -61,16 +61,26 @@ Memtable::Node* Memtable::FindGreaterOrEqual(std::string_view key,
 }
 
 void Memtable::Add(std::string_view key, SequenceNumber seq, EntryType type,
-                   std::string_view value) {
+                   std::string_view value, SequenceNumber snapshot_seq) {
   Node* prev[kMaxHeight];
-  // Always insert: the new node lands BEFORE any existing versions of the
-  // same user key (FindGreaterOrEqual stops at the first node with
-  // key >= target), and since sequences per key arrive ascending, level-0
-  // order is exactly internal order — key ascending, seq descending.
+  // FindGreaterOrEqual stops at the key's newest version, if any.
   Node* node = FindGreaterOrEqual(key, prev);
   if (node != nullptr && node->key == key) {
     PTSB_DCHECK(seq > node->seq);
+    if (node->seq > snapshot_seq) {
+      // No snapshot reads this version: overwrite it. The node keeps its
+      // place, since it stays the key's newest version.
+      bytes_ -= node->value.size();
+      node->value.assign(value.data(), value.size());
+      node->seq = seq;
+      node->type = type;
+      bytes_ += value.size();
+      return;
+    }
   }
+  // Insert: the new node lands BEFORE any existing versions of the same
+  // user key, and since sequences per key arrive ascending, level-0
+  // order is exactly internal order — key ascending, seq descending.
   const int height = RandomHeight();
   if (height > height_) {
     for (int i = height_; i < height; i++) prev[i] = head_;

@@ -1,8 +1,11 @@
 // In-memory write buffer: a skiplist in INTERNAL order (user key
-// ascending, sequence descending) holding every version written since
-// the last flush. Multi-versioning is what lets a snapshot at sequence S
-// keep reading the value a later write overwrote: lookups and scans take
-// a sequence bound and surface the newest version at or below it.
+// ascending, sequence descending). A write overwrites the key's newest
+// version in place unless an open snapshot can still read that version;
+// only then does it insert a new one. Multi-versioning is what lets a
+// snapshot at sequence S keep reading the value a later write
+// overwrote: lookups and scans take a sequence bound and surface the
+// newest version at or below it. With no snapshot open the memtable
+// holds one version per key, as a store without snapshots needs.
 #ifndef PTSB_LSM_MEMTABLE_H_
 #define PTSB_LSM_MEMTABLE_H_
 
@@ -25,11 +28,16 @@ class Memtable {
   Memtable(const Memtable&) = delete;
   Memtable& operator=(const Memtable&) = delete;
 
-  // Inserts a new version. Delete is an Add with EntryType::kDelete.
+  // Writes a version. Delete is an Add with EntryType::kDelete.
   // Sequences for one user key must arrive in ascending order (they do:
   // the store assigns them monotonically under the commit lock).
+  // `snapshot_seq` is the newest sequence an open snapshot reads at (0:
+  // none open): the key's newest version is overwritten in place when it
+  // is above that, since no snapshot can see it; otherwise the new
+  // version is inserted in front of it. The default keeps every version.
   void Add(std::string_view key, SequenceNumber seq, EntryType type,
-           std::string_view value);
+           std::string_view value,
+           SequenceNumber snapshot_seq = ~SequenceNumber{0});
 
   // Lookup result semantics: found=true + deleted=false -> value set;
   // found=true + deleted=true -> key has a tombstone here.

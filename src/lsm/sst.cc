@@ -274,72 +274,106 @@ StatusOr<SstReader::GetResult> SstReader::Get(std::string_view key) {
   return r;
 }
 
-SstReader::Iterator::Iterator(SstReader* reader, uint64_t readahead_bytes,
-                              sim::SimClock* clock, uint32_t base_queue,
-                              int depth)
-    : reader_(reader),
-      readahead_bytes_(readahead_bytes),
-      clock_(clock),
-      base_queue_(base_queue),
-      depth_(depth) {}
+SstReader::Iterator::Iterator(SstReader* reader, SstReadahead readahead)
+    : reader_(reader), ra_(readahead) {}
 
-Status SstReader::Iterator::LoadSpan(size_t first_block) {
+size_t SstReader::Iterator::PlanSpan(size_t first_block, size_t max_blocks) {
   const auto& blocks = reader_->blocks_;
-  if (first_block >= blocks.size()) {
-    valid_ = false;
-    return Status::OK();
-  }
-  size_t end = first_block + 1;
-  uint64_t span_bytes = blocks[first_block].size;
+  size_t end = first_block;
+  uint64_t span_bytes = 0;
   // The prefetch cap (LimitSpanTo) bounds batching, never access: a
   // first block at/past the cap still loads as a one-block span.
   const size_t cap = std::max(first_block + 1, span_block_limit_);
-  while (end < blocks.size() && end < cap &&
-         span_bytes + blocks[end].size <=
-             std::max<uint64_t>(readahead_bytes_,
-                                blocks[first_block].size)) {
+  const uint64_t byte_window =
+      first_block < blocks.size()
+          ? std::max<uint64_t>(ra_.bytes, blocks[first_block].size)
+          : 0;
+  while (end < blocks.size() && end < cap && end - first_block < max_blocks &&
+         span_bytes + blocks[end].size <= byte_window) {
     span_bytes += blocks[end].size;
     end++;
   }
   span_first_ = first_block;
   span_end_ = end;
-  span_base_offset_ = blocks[first_block].offset;
+  span_base_offset_ = end > first_block ? blocks[first_block].offset : 0;
   span_data_.resize(span_bytes);
-  const size_t nblocks = end - first_block;
-  if (clock_ != nullptr && depth_ > 1 && nblocks > 1) {
-    // Lane-split readahead: carve the span into up to `depth_`
-    // block-aligned chunks, submit each on its own foreground-read lane
-    // (distinct queues from the same instant -> distinct channels), and
-    // wait them all — the span completes when the SLOWEST chunk does,
-    // not after the sum of all chunk times.
-    const size_t nchunks = std::min<size_t>(static_cast<size_t>(depth_),
-                                            nblocks);
-    std::vector<block::IoTicket> tickets;
-    tickets.reserve(nchunks);
-    size_t b = first_block;
-    for (size_t j = 0; j < nchunks; j++) {
-      const size_t take = nblocks / nchunks + (j < nblocks % nchunks ? 1 : 0);
-      const uint64_t off = blocks[b].offset;
-      uint64_t len = 0;
-      for (size_t k = 0; k < take; k++) len += blocks[b + k].size;
-      tickets.push_back(reader_->file_->SubmitReadAt(
-          off, len, span_data_.data() + (off - span_base_offset_),
-          base_queue_ + static_cast<uint32_t>(j),
-          sim::IoClass::kForegroundRead));
-      b += take;
+  return end - first_block;
+}
+
+Status SstReader::Iterator::LoadSpan(size_t first_block) {
+  if (first_block >= reader_->blocks_.size()) {
+    valid_ = false;
+    return Status::OK();
+  }
+  // The round trip's tables: this one, then — while the block window has
+  // room and each span ends at its table's end — the run's next ones.
+  std::vector<Iterator*> run = {this};
+  size_t room = ra_.blocks - PlanSpan(first_block, ra_.blocks);
+  while (room > 0 && run.back()->next_table_ &&
+         run.back()->span_end_ == run.back()->reader_->blocks_.size()) {
+    StatusOr<Iterator*> next = run.back()->next_table_(run.back());
+    PTSB_RETURN_IF_ERROR(next.status());
+    if (*next == nullptr) break;
+    room -= (*next)->PlanSpan(0, room);
+    run.push_back(*next);
+  }
+  size_t nblocks = 0;
+  for (const Iterator* it : run) nblocks += it->span_end_ - it->span_first_;
+
+  Status read;
+  if (ra_.clock != nullptr && ra_.depth > 1 && nblocks > 1) {
+    // Lane-split readahead: carve the window into up to `depth`
+    // block-aligned chunks, cut again at table boundaries, submit each
+    // piece on its own foreground-read lane (distinct queues from the
+    // same instant -> distinct channels), and wait them all — the window
+    // completes when the SLOWEST piece does, not after the sum.
+    const size_t nchunks =
+        std::min<size_t>(static_cast<size_t>(ra_.depth), nblocks);
+    std::vector<std::pair<fs::File*, block::IoTicket>> tickets;
+    size_t chunk = 0;
+    size_t chunk_left = nblocks / nchunks + (0 < nblocks % nchunks ? 1 : 0);
+    for (Iterator* it : run) {
+      const auto& blocks = it->reader_->blocks_;
+      size_t b = it->span_first_;
+      while (b < it->span_end_) {
+        const size_t take = std::min(chunk_left, it->span_end_ - b);
+        const uint64_t off = blocks[b].offset;
+        uint64_t len = 0;
+        for (size_t k = 0; k < take; k++) len += blocks[b + k].size;
+        fs::File* file = it->reader_->file_;
+        tickets.emplace_back(
+            file, file->SubmitReadAt(
+                      off, len,
+                      it->span_data_.data() + (off - it->span_base_offset_),
+                      ra_.base_queue + static_cast<uint32_t>(tickets.size()),
+                      sim::IoClass::kForegroundRead));
+        b += take;
+        chunk_left -= take;
+        if (chunk_left == 0 && ++chunk < nchunks) {
+          chunk_left = nblocks / nchunks + (chunk < nblocks % nchunks ? 1 : 0);
+        }
+      }
     }
-    Status first_bad;
-    for (const block::IoTicket& t : tickets) {
-      const Status s = reader_->file_->Wait(t);
-      if (!s.ok() && first_bad.ok()) first_bad = s;
+    for (const auto& [file, ticket] : tickets) {
+      const Status s = file->Wait(ticket);
+      if (!s.ok() && read.ok()) read = s;
     }
-    PTSB_RETURN_IF_ERROR(first_bad);
   } else {
-    PTSB_ASSIGN_OR_RETURN(const uint64_t got,
-                          reader_->file_->ReadAt(span_base_offset_,
-                                                 span_bytes,
-                                                 span_data_.data()));
-    if (got != span_bytes) return Status::Corruption("short span read");
+    for (Iterator* it : run) {
+      StatusOr<uint64_t> got = it->reader_->file_->ReadAt(
+          it->span_base_offset_, it->span_data_.size(), it->span_data_.data());
+      if (!got.ok()) {
+        read = got.status();
+      } else if (*got != it->span_data_.size()) {
+        read = Status::Corruption("short span read");
+      }
+      if (!read.ok()) break;
+    }
+  }
+  if (!read.ok()) {
+    // Nothing of this round trip may be entered later as if it had loaded.
+    for (Iterator* it : run) it->span_first_ = it->span_end_ = 0;
+    return read;
   }
   return EnterBlock(first_block);
 }
@@ -391,7 +425,9 @@ bool SstReader::Iterator::ParseCurrent() {
   return true;
 }
 
-Status SstReader::Iterator::SeekToFirst() { return LoadSpan(0); }
+// Enters block 0 without a read when a previous table's span already
+// carried it (ContinueInto); otherwise loads a span from it.
+Status SstReader::Iterator::SeekToFirst() { return EnterBlock(0); }
 
 Status SstReader::Iterator::Seek(std::string_view target) {
   PTSB_RETURN_IF_ERROR(LoadSpan(reader_->FindBlock(target)));

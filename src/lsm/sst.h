@@ -15,6 +15,7 @@
 #define PTSB_LSM_SST_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -74,6 +75,24 @@ class SstBuilder {
   bool finished_ = false;
 };
 
+// How much one span read of an SstReader::Iterator fetches: at most
+// `blocks` data blocks and at most `bytes` bytes (a first block larger
+// than `bytes` still loads alone). Scans size the window in blocks
+// (kv::ReadOptions::readahead), continuing into the level's next file;
+// compaction sizes it in bytes (compaction_readahead_bytes); the default
+// reads block by block. With a clock and depth > 1, each span read is
+// split into up to `depth` block-aligned chunks submitted on
+// foreground-read lanes base_queue, base_queue+1, ..., so one span's I/O
+// overlaps across SSD channels (completion = slowest chunk, not the
+// sum) — the scan-side analog of the MultiGet fan-out.
+struct SstReadahead {
+  size_t blocks = 1;
+  uint64_t bytes = UINT64_MAX;
+  sim::SimClock* clock = nullptr;
+  uint32_t base_queue = 0;
+  int depth = 1;
+};
+
 class SstReader {
  public:
   // Opens the table: reads footer, index and bloom (charged as device
@@ -115,16 +134,18 @@ class SstReader {
 
   class Iterator {
    public:
-    // `readahead_bytes` batches sequential block reads into large device
-    // commands (RocksDB's compaction readahead); 0 reads block by block.
-    // With a clock and depth > 1, each span read is additionally split
-    // into up to `depth` block-aligned chunks submitted on foreground-read
-    // lanes base_queue..base_queue+depth-1, so one span's I/O overlaps
-    // across SSD channels (completion = slowest chunk, not the sum) — the
-    // scan-side analog of the MultiGet fan-out.
-    explicit Iterator(SstReader* reader, uint64_t readahead_bytes = 0,
-                      sim::SimClock* clock = nullptr, uint32_t base_queue = 0,
-                      int depth = 1);
+    // A sorted run's cursor hook (a level's files): returns the cursor on
+    // the table that follows `after` in the run, or null at the run's
+    // end. The caller owns the returned cursor.
+    using NextTable = std::function<StatusOr<Iterator*>(const Iterator*)>;
+
+    explicit Iterator(SstReader* reader, SstReadahead readahead = {});
+    // Lets a span that reaches this table's end short of its block
+    // window continue into the run's next tables: their first blocks are
+    // read in the SAME round trip (each chunk on its own lane, all
+    // waited together), and their SeekToFirst then enters them without
+    // another read. Set on every cursor of the run.
+    void ContinueInto(NextTable next) { next_table_ = std::move(next); }
     bool Valid() const { return valid_; }
     // Caps span prefetch at block `end_block` (exclusive): a
     // subcompaction stops batching at its subrange's last needed block
@@ -143,17 +164,20 @@ class SstReader {
 
    private:
     // Reads a run of blocks starting at `first_block` covering up to the
-    // readahead budget, then enters the first block of the span.
+    // readahead window (continuing into the next tables of the run, see
+    // ContinueInto), then enters the first block of the span.
     Status LoadSpan(size_t first_block);
+    // Sets this table's span to [first_block, ...) within at most
+    // `max_blocks` blocks and the byte window, sizes span_data_ for it
+    // (unread), and returns its block count.
+    size_t PlanSpan(size_t first_block, size_t max_blocks);
     // Validates and enters a block that lies within the current span.
     Status EnterBlock(size_t block_index);
     bool ParseCurrent();
 
     SstReader* reader_;
-    uint64_t readahead_bytes_;
-    sim::SimClock* clock_;
-    uint32_t base_queue_;
-    int depth_;
+    SstReadahead ra_;
+    NextTable next_table_;
     size_t span_block_limit_ = static_cast<size_t>(-1);
     size_t span_first_ = 0;  // first block index in span_data_
     size_t span_end_ = 0;    // one past the last block in span_data_
