@@ -49,6 +49,23 @@ TEST(MemtableTest, UpdateKeepsEveryVersion) {
   EXPECT_EQ(mt.entries(), 2u);
 }
 
+TEST(MemtableTest, OverwritesInPlaceUnlessASnapshotReadsTheVersion) {
+  Memtable mt;
+  mt.Add("k", 1, EntryType::kPut, "v1", /*snapshot_seq=*/0);
+  mt.Add("k", 2, EntryType::kPut, "v2", /*snapshot_seq=*/0);
+  EXPECT_EQ(mt.entries(), 1u);  // no snapshot: replaced in place
+  // A snapshot at sequence 2 reads v2: the next version goes in front.
+  mt.Add("k", 3, EntryType::kPut, "v3", /*snapshot_seq=*/2);
+  EXPECT_EQ(mt.entries(), 2u);
+  // v3 is above every snapshot: replaced in place.
+  mt.Add("k", 4, EntryType::kDelete, "", /*snapshot_seq=*/2);
+  EXPECT_EQ(mt.entries(), 2u);
+  EXPECT_TRUE(mt.Get("k").deleted);
+  EXPECT_EQ(mt.Get("k").seq, 4u);
+  EXPECT_EQ(mt.Get("k", 3).value, "v2");
+  EXPECT_FALSE(mt.Get("k", 1).found);
+}
+
 TEST(MemtableTest, SequenceBoundedGet) {
   Memtable mt;
   mt.Add("k", 1, EntryType::kPut, "v1");

@@ -11,7 +11,12 @@
 #include "block/iostat.h"
 #include "block/memory_device.h"
 #include "fs/filesystem.h"
+#include "kv/kv.h"
+#include "kv/registry.h"
+#include "kv/write_batch.h"
 #include "lsm/lsm_store.h"
+#include "sim/clock.h"
+#include "ssd/ssd_device.h"
 #include "test_support.h"
 #include "util/human.h"
 #include "util/random.h"
@@ -648,6 +653,300 @@ TEST_F(LsmStoreTest, LazyReaderOpenErrorSurfacesInStatus) {
   EXPECT_FALSE(it->Valid());
   EXPECT_FALSE(it->status().ok());
   it.reset();
+  ASSERT_TRUE(store->Close().ok());
+}
+
+// A store whose data sits in one level of tables (CompactAll), with every
+// table's reader open, on a clocked SSD: the scan-readahead fixture. The
+// reference model holds the contents.
+struct ScanFixture {
+  ScanFixture(int channels, const LsmOptions& base, uint64_t keys,
+              size_t value_bytes)
+      : ssd(Config(channels), &clock), io(&ssd), fs(&io, FsOptions()) {
+    LsmOptions o = base;
+    o.clock = &clock;
+    store = *LsmStore::Open(&fs, o);
+    Rng rng(7);
+    std::vector<uint64_t> ids(keys);
+    for (uint64_t i = 0; i < keys; i++) ids[i] = i;
+    for (uint64_t i = keys - 1; i > 0; i--) {
+      std::swap(ids[i], ids[rng.Uniform(i + 1)]);
+    }
+    for (const uint64_t id : ids) {
+      const std::string value = FixedValue(id, 0) +
+                                std::string(value_bytes - 74, 'x');
+      EXPECT_TRUE(store->Put(FixedKey(id), value).ok());
+      model.Put(FixedKey(id), value);
+    }
+    EXPECT_TRUE(store->CompactAll().ok());
+    // Warm-up full scan: every table's reader (index + bloom) is open.
+    auto warm = store->NewIterator();
+    size_t n = 0;
+    for (warm->SeekToFirst(); warm->Valid(); warm->Next()) n++;
+    EXPECT_TRUE(warm->status().ok());
+    EXPECT_EQ(n, model.size());
+  }
+
+  static ssd::SsdConfig Config(int channels) {
+    ssd::SsdConfig cfg;
+    cfg.geometry.logical_bytes = 64ull << 20;
+    cfg.channels = channels;
+    cfg.timing.cache_bytes = 0;
+    return cfg;
+  }
+  static fs::FsOptions FsOptions() {
+    fs::FsOptions o;
+    o.append_alloc_pages = 8;
+    return o;
+  }
+
+  // The one populated level's tables.
+  const std::vector<FileMeta>& Level() const {
+    const VersionSet& v = store->versions();
+    return v.LevelFiles(v.MaxPopulatedLevel());
+  }
+  // Data blocks of one table, from its own index.
+  uint64_t Blocks(const FileMeta& f) {
+    auto file = fs.Open(VersionSet::SstFileName("lsm", f.number));
+    EXPECT_TRUE(file.ok());
+    auto reader = SstReader::Open(*file);
+    EXPECT_TRUE(reader.ok());
+    return (*reader)->NumBlocks();
+  }
+
+  sim::SimClock clock;
+  ssd::SsdDevice ssd;
+  block::IoStatCollector io;
+  fs::SimpleFs fs;
+  std::unique_ptr<LsmStore> store;
+  testing::ReferenceModel model;
+};
+
+// 4000-byte values make every data block two entries, about 8 KB, twice
+// the nominal block_bytes. readahead counts blocks, so every span load
+// but the level's last reads four of them, and a scan of B blocks takes
+// ceil(B / 4) loads (a nominal-bytes window would read two per load).
+TEST(LsmScanReadaheadTest, EverySpanLoadReadsReadaheadBlocks) {
+  LsmOptions o = ManyFilesOptions();
+  o.memtable_bytes = 64 << 10;
+  o.l1_target_bytes = 256 << 10;
+  o.sst_target_bytes = 64 << 10;
+  o.block_bytes = 4096;
+  o.read_queue_depth = 4;
+  ScanFixture fx(4, o, 300, 4000);
+  if (::testing::Test::HasFailure()) return;
+  uint64_t blocks = 0;
+  for (const FileMeta& f : fx.Level()) blocks += fx.Blocks(f);
+  ASSERT_GE(fx.Level().size(), 3u);
+
+  auto it = fx.store->NewIterator(kv::ReadOptions{.readahead = 4});
+  std::vector<uint64_t> loads;  // bytes read by each cursor move that read
+  auto move = [&](auto&& step) {
+    const block::IoCounters before = fx.io.counters();
+    step();
+    const uint64_t bytes = (fx.io.counters() - before).read_bytes;
+    if (bytes > 0) loads.push_back(bytes);
+  };
+  auto want = fx.model.map().begin();
+  move([&] { it->SeekToFirst(); });
+  for (; it->Valid(); move([&] { it->Next(); }), ++want) {
+    ASSERT_NE(want, fx.model.map().end());
+    ASSERT_EQ(it->key(), want->first);
+    ASSERT_EQ(it->value(), want->second);
+  }
+  ASSERT_TRUE(it->status().ok()) << it->status().ToString();
+  EXPECT_EQ(want, fx.model.map().end());
+  EXPECT_EQ(loads.size(), (blocks + 3) / 4);
+  for (size_t i = 0; i + 1 < loads.size(); i++) {
+    EXPECT_GE(loads[i], 4 * 8000u) << "span load " << i << " of "
+                                   << loads.size();
+  }
+  it.reset();
+  ASSERT_TRUE(fx.store->Close().ok());
+}
+
+// Tables of three ~4 KiB blocks under an eight-block window: a scan
+// across k tables must not pay a round trip per table. Each window's
+// eight one-block chunks go out on eight lanes (eight channels), so a
+// window costs one command's latency, and the scan completes in
+// ceil(blocks / 8) of them.
+TEST(LsmScanReadaheadTest, WindowContinuesAcrossTableBoundaries) {
+  LsmOptions o = ManyFilesOptions();
+  o.memtable_bytes = 64 << 10;
+  o.l1_target_bytes = 256 << 10;
+  o.sst_target_bytes = 12 << 10;
+  o.read_queue_depth = 8;
+  ScanFixture fx(8, o, 1200, 500);
+  if (::testing::Test::HasFailure()) return;
+  const std::vector<FileMeta>& level = fx.Level();
+  constexpr size_t kFirst = 5, kTables = 24;
+  ASSERT_GE(level.size(), kFirst + kTables + 1);
+  uint64_t blocks = 0;
+  for (size_t f = kFirst; f < kFirst + kTables; f++) {
+    const uint64_t b = fx.Blocks(level[f]);
+    ASSERT_LT(b, 8u);  // every table is smaller than the window
+    blocks += b;
+  }
+
+  for (const bool snapshot : {false, true}) {
+    SCOPED_TRACE(snapshot ? "snapshot" : "live");
+    std::shared_ptr<const kv::Snapshot> snap;
+    if (snapshot) snap = *fx.store->GetSnapshot();
+    auto it = fx.store->NewIterator(
+        kv::ReadOptions{.snapshot = snap.get(), .readahead = 8});
+    const int64_t t0 = fx.clock.NowNanos();
+    it->Seek(level[kFirst].smallest);
+    auto want = fx.model.map().find(level[kFirst].smallest);
+    const auto last = fx.model.map().find(level[kFirst + kTables - 1].largest);
+    ASSERT_NE(last, fx.model.map().end());
+    for (;; ++want) {
+      ASSERT_TRUE(it->Valid());
+      ASSERT_EQ(it->key(), want->first);
+      ASSERT_EQ(it->value(), want->second);
+      if (want == last) break;
+      it->Next();
+    }
+    ASSERT_TRUE(it->status().ok()) << it->status().ToString();
+    const int64_t elapsed = fx.clock.NowNanos() - t0;
+    // One round trip: 90 us command latency plus a two-page transfer.
+    const int64_t round_trip = 90'000 + 10'000;
+    const uint64_t windows = (blocks + 7) / 8;
+    EXPECT_LE(elapsed, static_cast<int64_t>(windows) * round_trip)
+        << blocks << " blocks over " << kTables << " tables";
+    EXPECT_LT(windows, kTables);
+  }
+  ASSERT_TRUE(fx.store->Close().ok());
+}
+
+// The window's next table opens lazily inside the round trip; a failure
+// there must surface in status(), not as wrong data or an abort.
+TEST_F(LsmStoreTest, PrefetchedTableOpenErrorSurfacesInStatus) {
+  {
+    auto store = *LsmStore::Open(&fs_, ManyFilesOptions());
+    testing::ReferenceModel model;
+    BuildManyFileStore(store.get(), &model);
+    if (HasFatalFailure()) return;
+    ASSERT_TRUE(store->Close().ok());
+  }
+  // Reopened, no reader is open yet; remove the table after the seek
+  // target's so only the window's continuation can fail.
+  auto store = *LsmStore::Open(&fs_, ManyFilesOptions());
+  const VersionSet& v = store->versions();
+  const std::vector<FileMeta>& level = v.LevelFiles(v.MaxPopulatedLevel());
+  ASSERT_GE(level.size(), 3u);
+  const FileMeta target = level[1];
+  const FileMeta victim = level[2];
+  ASSERT_TRUE(fs_.Delete(VersionSet::SstFileName("lsm", victim.number)).ok());
+  // A 16 KiB table holds about four blocks: a 64-block window reaches
+  // past it into the victim on the Seek's own round trip.
+  auto it = store->NewIterator(kv::ReadOptions{.readahead = 64});
+  it->Seek(target.smallest);
+  EXPECT_FALSE(it->Valid());
+  EXPECT_FALSE(it->status().ok());
+  it->Next();  // a failed cursor stays failed
+  EXPECT_FALSE(it->Valid());
+  EXPECT_FALSE(it->status().ok());
+  it.reset();
+  ASSERT_TRUE(store->Close().ok());
+}
+
+// The micro_cache op stream (load, then skewed single-put overwrites) on
+// bare lsm with no snapshot open. Every overwrite of a memtable-resident
+// key replaces its version in place, so the memtable fills with distinct
+// keys only: the pinned flush count and engine write bytes (2.20 MiB)
+// are what the engine wrote before multi-version memtables. Keeping every
+// version flushed 12 times and wrote 3.59 MiB.
+TEST(LsmMemtableTest, OverwritesWithoutSnapshotsStayInPlace) {
+  sim::SimClock clock;
+  ssd::SsdConfig cfg;
+  cfg.geometry.logical_bytes = 512ull << 20;
+  cfg.channels = 2;
+  cfg.timing.cache_bytes = 0;
+  ssd::SsdDevice ssd(cfg, &clock);
+  fs::SimpleFs fs(&ssd, {});
+  kv::EngineOptions options;
+  options.engine = "lsm";
+  options.fs = &fs;
+  options.clock = &clock;
+  options.params = {{"memtable_bytes", std::to_string(128 << 10)},
+                    {"l1_target_bytes", std::to_string(512 << 10)},
+                    {"sst_target_bytes", std::to_string(256 << 10)}};
+  auto opened = kv::OpenStore(options);
+  ASSERT_TRUE(opened.ok());
+  auto* store = dynamic_cast<LsmStore*>(opened->get());
+  ASSERT_NE(store, nullptr);
+
+  constexpr uint64_t kKeys = 1024, kChurn = 4000;
+  constexpr size_t kValueBytes = 256;
+  uint64_t flushes = 0;
+  auto write = [&](const kv::WriteBatch& batch) {
+    ASSERT_TRUE(store->Write(batch).ok());
+    if (store->MemtableBytes() == 0) flushes++;
+  };
+  kv::WriteBatch batch;
+  for (uint64_t id = 0; id < kKeys; id++) {
+    batch.Put(kv::MakeKey(id), kv::MakeValue(id * 31 + 7, kValueBytes));
+    if (batch.Count() >= 32) {
+      write(batch);
+      batch.Clear();
+    }
+  }
+  const uint64_t hot = kKeys / 8;
+  uint64_t next = 0x9e3779b97f4a7c15ull;
+  for (uint64_t i = 0; i < kChurn; i++) {
+    next = next * 6364136223846793005ull + 1442695040888963407ull;
+    const uint64_t pick = next >> 17;
+    const uint64_t id = pick % 10 < 8 ? pick % hot : pick % kKeys;
+    batch.Clear();
+    batch.Put(kv::MakeKey(id), kv::MakeValue(i ^ id, kValueBytes));
+    write(batch);
+  }
+  ASSERT_TRUE(store->Flush().ok());
+  const kv::KvStoreStats s = store->GetStats();
+  EXPECT_EQ(flushes, 4u);
+  EXPECT_EQ(s.wal_bytes_written + s.flush_bytes_written +
+                s.compaction_bytes_written,
+            2306664u);
+  ASSERT_TRUE(store->Close().ok());
+}
+
+// An open snapshot keeps the version it reads: overwrites insert new
+// versions in front of it instead of replacing it, in the memtable and
+// across a flush; versions no snapshot reads are still replaced.
+TEST_F(LsmStoreTest, SnapshotReadsOldVersionAfterOverwrites) {
+  auto store = *LsmStore::Open(&fs_, TinyOptions());
+  ASSERT_TRUE(store->Put("k", "v0").ok());
+  ASSERT_TRUE(store->Put("other", "o0").ok());
+  auto snap = *store->GetSnapshot();
+  const uint64_t before = store->MemtableBytes();
+  for (int i = 1; i <= 5; i++) {
+    ASSERT_TRUE(store->Put("k", "v" + std::to_string(i)).ok());
+  }
+  // v0 is pinned; v1..v4 are replaced in place by their successors.
+  EXPECT_EQ(store->MemtableBytes(), before + 64 + 1 + 2);
+  auto expect = [&](const kv::Snapshot* s, const std::string& key,
+                    const std::string& value) {
+    std::string got;
+    ASSERT_TRUE(store->Get(kv::ReadOptions{.snapshot = s}, key, &got).ok());
+    EXPECT_EQ(got, value) << key;
+  };
+  expect(snap.get(), "k", "v0");
+  expect(nullptr, "k", "v5");
+  ASSERT_TRUE(store->Flush().ok());
+  ASSERT_TRUE(store->Put("k", "v6").ok());
+  expect(snap.get(), "k", "v0");
+  expect(nullptr, "k", "v6");
+  auto it = store->NewIterator(kv::ReadOptions{.snapshot = snap.get()});
+  it->Seek("k");
+  ASSERT_TRUE(it->Valid());
+  EXPECT_EQ(it->key(), "k");
+  EXPECT_EQ(it->value(), "v0");
+  it.reset();
+  snap.reset();
+  // No snapshot left: the next overwrite replaces v6 in place.
+  const uint64_t unpinned = store->MemtableBytes();
+  ASSERT_TRUE(store->Put("k", "v7").ok());
+  EXPECT_EQ(store->MemtableBytes(), unpinned);
   ASSERT_TRUE(store->Close().ok());
 }
 
