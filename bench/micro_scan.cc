@@ -30,11 +30,16 @@
 //    reference drops — pins are accounted, not leaked.
 //
 // 4. Short scans — 100-entry scans (readahead 4, read_queue_depth 4)
-//    from seeded keys on a multi-level store of small tables, bare lsm
-//    and cached/lsm. Prints block-layer read commands and simulated ms
-//    per scan. Self-check: a scan reads fewer commands than the store
-//    has SST files. An LSM cursor that seeks every table above the
-//    target (instead of one table per level) fails it.
+//    from seeded keys on a multi-level store of small tables: bare lsm
+//    and cached/lsm with 64 B values (4 KiB blocks), and bare lsm with
+//    4000 B values (~8 KB blocks, as in the perfbench
+//    cached-lsm-read-scan workload). Prints block-layer read commands,
+//    round trips (virtual instants that start reads), device KiB per
+//    span round trip and simulated ms per scan. Self-checks: a scan
+//    reads fewer commands than the store has SST files (an LSM cursor
+//    that seeks every table above the target fails it), and on the
+//    4000 B row a span round trip reads at least `readahead` ~8 KB
+//    blocks (a window sized in nominal 4 KiB blocks reads half that).
 //
 //   ./build/micro_scan
 //   ./build/micro_scan --smoke        # CI-sized, same self-checks
@@ -357,24 +362,73 @@ bool RunPinCell(const Flags& flags, const EngineConfig& config) {
 
 // ---- Cell 4: short scans from seeded keys on a multi-level LSM.
 
-constexpr uint64_t kShortScanKeys = 20000;
 constexpr int kShortScans = 200;
 constexpr int kShortScanEntries = 100;
+constexpr int kShortScanReadahead = 4;
+
+// One cell-4 store: `keys` seeded puts of `value_bytes` in tables of
+// `table_bytes`.
+struct ShortScanShape {
+  uint64_t keys;
+  size_t value_bytes;
+  uint64_t table_bytes;
+};
 
 struct ShortScanCell {
   size_t sst_files = 0;
   double reads_per_scan = 0;
   double ms_per_scan = 0;
+  double trips_per_scan = 0;  // virtual instants that started a read
+  // Device bytes per round trip that fanned out over several commands
+  // (a readahead span's chunks); single-command trips (table opens,
+  // one-block spans) are left out.
+  double bytes_per_span_trip = 0;
 };
 
-ShortScanCell RunShortScanCell(const EngineConfig& config) {
+// Groups device reads into round trips: the chunks of one readahead
+// span go out on parallel lanes from the same virtual instant, so reads
+// that start at the same instant belong to one trip.
+class RoundTripCounter : public block::BlockDevice {
+ public:
+  explicit RoundTripCounter(block::BlockDevice* base) : base_(base) {}
+  uint64_t lba_bytes() const override { return base_->lba_bytes(); }
+  uint64_t num_lbas() const override { return base_->num_lbas(); }
+  sim::SimClock* clock() const override { return base_->clock(); }
+  Status Read(uint64_t lba, uint64_t count, uint8_t* dst) override {
+    Trip& t = trips_[base_->clock()->NowNanos()];
+    t.commands++;
+    t.bytes += count * lba_bytes();
+    return base_->Read(lba, count, dst);
+  }
+  Status Write(uint64_t lba, uint64_t count, const uint8_t* src) override {
+    return base_->Write(lba, count, src);
+  }
+  Status Trim(uint64_t lba, uint64_t count) override {
+    return base_->Trim(lba, count);
+  }
+  Status Flush() override { return base_->Flush(); }
+
+  struct Trip {
+    uint64_t commands = 0;
+    uint64_t bytes = 0;
+  };
+  std::map<int64_t, Trip>& trips() { return trips_; }
+
+ private:
+  block::BlockDevice* base_;
+  std::map<int64_t, Trip> trips_;  // by start instant
+};
+
+ShortScanCell RunShortScanCell(const EngineConfig& config,
+                               const ShortScanShape& shape) {
   sim::SimClock clock;
   ssd::SsdConfig cfg;
   cfg.geometry.logical_bytes = 512ull << 20;
   cfg.channels = 4;
   cfg.timing.cache_bytes = 0;
   ssd::SsdDevice ssd(cfg, &clock);
-  block::IoStatCollector io(&ssd);
+  RoundTripCounter trips(&ssd);
+  block::IoStatCollector io(&trips);
   fs::SimpleFs fs(&io, {});
 
   kv::EngineOptions options;
@@ -382,8 +436,7 @@ ShortScanCell RunShortScanCell(const EngineConfig& config) {
   options.fs = &fs;
   options.clock = &clock;
   options.params = config.params;
-  // 16 KiB tables: the store spans two levels of many tables each.
-  options.params["sst_target_bytes"] = std::to_string(16 << 10);
+  options.params["sst_target_bytes"] = std::to_string(shape.table_bytes);
   options.params["read_queue_depth"] = "4";
   auto opened = kv::OpenStore(options);
   PTSB_CHECK_OK(opened.status());
@@ -391,9 +444,9 @@ ShortScanCell RunShortScanCell(const EngineConfig& config) {
 
   Rng rng(7);
   kv::WriteBatch batch;
-  for (uint64_t i = 0; i < kShortScanKeys; i++) {
-    const uint64_t id = rng.Uniform(kShortScanKeys);
-    batch.Put(kv::MakeKey(id), kv::MakeValue(id, 64));
+  for (uint64_t i = 0; i < shape.keys; i++) {
+    const uint64_t id = rng.Uniform(shape.keys);
+    batch.Put(kv::MakeKey(id), kv::MakeValue(id, shape.value_bytes));
     if (batch.Count() >= 64) {
       PTSB_CHECK_OK(store->Write(batch));
       batch.Clear();
@@ -407,13 +460,14 @@ ShortScanCell RunShortScanCell(const EngineConfig& config) {
   for (const std::string& name : fs.List()) {
     if (name.ends_with(".sst")) r.sst_files++;
   }
+  trips.trips().clear();
   const uint64_t reads_before = io.counters().read_ops;
   const int64_t t0 = clock.NowNanos();
   for (int scan = 0; scan < kShortScans; scan++) {
-    std::unique_ptr<kv::KVStore::Iterator> it =
-        store->NewIterator(kv::ReadOptions{.readahead = 4});
+    std::unique_ptr<kv::KVStore::Iterator> it = store->NewIterator(
+        kv::ReadOptions{.readahead = kShortScanReadahead});
     int n = 0;
-    for (it->Seek(kv::MakeKey(rng.Uniform(kShortScanKeys)));
+    for (it->Seek(kv::MakeKey(rng.Uniform(shape.keys)));
          it->Valid() && n < kShortScanEntries; it->Next()) {
       n++;
     }
@@ -424,6 +478,16 @@ ShortScanCell RunShortScanCell(const EngineConfig& config) {
       kShortScans;
   r.ms_per_scan =
       static_cast<double>(clock.NowNanos() - t0) / 1e6 / kShortScans;
+  uint64_t span_trips = 0, span_bytes = 0;
+  for (const auto& [start, trip] : trips.trips()) {
+    if (trip.commands < 2) continue;
+    span_trips++;
+    span_bytes += trip.bytes;
+  }
+  r.trips_per_scan =
+      static_cast<double>(trips.trips().size()) / kShortScans;
+  r.bytes_per_span_trip =
+      span_trips > 0 ? static_cast<double>(span_bytes) / span_trips : 0;
   PTSB_CHECK_OK(store->Close());
   return r;
 }
@@ -522,24 +586,49 @@ int main(int argc, char** argv) {
   }
 
   // ---- Cell 4: short scans must read one table per level, not every
-  // table above the target.
+  // table above the target, and a readahead span must carry `readahead`
+  // blocks whatever their size.
   std::printf("\nmicro_scan cell 4: %d x %d-entry scans from seeded keys "
-              "(readahead 4, qd 4, 4 channels), %llu keys x 64 B in 16 KiB "
-              "tables\n",
-              kShortScans, kShortScanEntries,
-              static_cast<unsigned long long>(kShortScanKeys));
-  for (const EngineConfig& config :
-       std::vector<EngineConfig>{AllEngineConfigs()[0],     // lsm
-                                 AllEngineConfigs()[6]}) {  // cached/lsm
-    const ShortScanCell cell = RunShortScanCell(config);
-    std::printf("  %-12s %4zu SSTs  %7.1f device reads/scan  %7.3f sim "
-                "ms/scan\n",
-                config.label.c_str(), cell.sst_files, cell.reads_per_scan,
-                cell.ms_per_scan);
+              "(readahead %d, qd 4, 4 channels)\n",
+              kShortScans, kShortScanEntries, kShortScanReadahead);
+  struct ShortScanRow {
+    EngineConfig config;
+    ShortScanShape shape;
+  };
+  // 64 B values fill the nominal 4 KiB blocks exactly; 4000 B values
+  // make every block two entries, about 8 KB.
+  const ShortScanShape small_values{20000, 64, 16 << 10};
+  const ShortScanShape large_values{3000, 4000, 64 << 10};
+  for (const ShortScanRow& row : std::vector<ShortScanRow>{
+           {AllEngineConfigs()[0], small_values},    // lsm
+           {AllEngineConfigs()[6], small_values},    // cached/lsm
+           {AllEngineConfigs()[0], large_values}}) {  // lsm
+    const ShortScanCell cell = RunShortScanCell(row.config, row.shape);
+    std::printf("  %-12s %5llu keys x %4zu B, %2llu KiB tables: %4zu SSTs  "
+                "%5.1f device reads/scan  %5.1f round trips/scan  %5.1f "
+                "KiB/span trip  %6.3f sim ms/scan\n",
+                row.config.label.c_str(),
+                static_cast<unsigned long long>(row.shape.keys),
+                row.shape.value_bytes,
+                static_cast<unsigned long long>(row.shape.table_bytes >> 10),
+                cell.sst_files, cell.reads_per_scan, cell.trips_per_scan,
+                cell.bytes_per_span_trip / 1024, cell.ms_per_scan);
     if (cell.reads_per_scan >= static_cast<double>(cell.sst_files)) {
       std::printf("FAIL: %s short scans read %.1f commands each, not below "
                   "the store's %zu SST files\n",
-                  config.label.c_str(), cell.reads_per_scan, cell.sst_files);
+                  row.config.label.c_str(), cell.reads_per_scan,
+                  cell.sst_files);
+      return 1;
+    }
+    // Each ~8 KB block covers at least two 4 KiB pages, so a span of
+    // `readahead` of them reads at least readahead x 8 KiB.
+    const double min_span_bytes = kShortScanReadahead * 8192.0;
+    if (row.shape.value_bytes == large_values.value_bytes &&
+        cell.bytes_per_span_trip < min_span_bytes) {
+      std::printf("FAIL: %s span round trips read %.1f KiB each, below "
+                  "%d blocks of ~8 KB (%.1f KiB)\n",
+                  row.config.label.c_str(), cell.bytes_per_span_trip / 1024,
+                  kShortScanReadahead, min_span_bytes / 1024);
       return 1;
     }
   }
