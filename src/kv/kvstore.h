@@ -350,7 +350,9 @@ struct ReadOptions {
   // that many leaves/blocks/values through foreground-read submission
   // lanes (queue striping at the engine's read_queue_depth), so a scan's
   // I/O overlaps across SSD channels instead of running at queue depth 1.
-  // 0 or 1 reads one block at a time.
+  // The LSM counts data blocks, continuing into the level's next file
+  // when one file ends inside the window. 0 or 1 reads one block at a
+  // time.
   int readahead = 0;
 };
 

@@ -841,7 +841,11 @@ kv::ReadHandle LsmStore::ReadAsync(std::string_view key, std::string* value) {
 // cursor (RocksDB's LevelIterator): Seek binary-searches the first file
 // whose largest key reaches the target and reads only that file, and a
 // cursor that runs off a file's end opens the next one. A Seek thus
-// reads at most one file per L0 file and per deeper level.
+// reads at most one file per L0 file and per deeper level. With
+// readahead, a level cursor's window is `readahead` data blocks; one
+// that runs past a file's end opens the level's next files and reads
+// their first blocks in the same round trip (SstReader::Iterator::
+// ContinueInto), so a scan pays no extra round trip per file boundary.
 //
 // In live mode the sources are the store's current memtable and a copy
 // of its file lists — any write invalidates the iterator (memtable

@@ -68,7 +68,8 @@ class LsmStore : public kv::KVStore {
   // move (so it is safe under concurrent writers), and skips the
   // write-epoch invalidation check. The snapshot must outlive the
   // cursor. readahead > 1 prefetches that many data blocks per span,
-  // split across foreground-read lanes at read_queue_depth.
+  // continuing into the level's next file, split across foreground-read
+  // lanes at read_queue_depth.
   std::unique_ptr<kv::KVStore::Iterator> NewIterator(
       const kv::ReadOptions& opts) override;
   // Freezes the current state: sequence bound + shared memtable + the

@@ -329,9 +329,12 @@ Status SstReader::Iterator::LoadSpan(size_t first_block) {
     // completes when the SLOWEST piece does, not after the sum.
     const size_t nchunks =
         std::min<size_t>(static_cast<size_t>(ra_.depth), nblocks);
+    auto chunk_blocks = [&](size_t j) {
+      return nblocks / nchunks + (j < nblocks % nchunks ? 1 : 0);
+    };
     std::vector<std::pair<fs::File*, block::IoTicket>> tickets;
     size_t chunk = 0;
-    size_t chunk_left = nblocks / nchunks + (0 < nblocks % nchunks ? 1 : 0);
+    size_t chunk_left = chunk_blocks(0);
     for (Iterator* it : run) {
       const auto& blocks = it->reader_->blocks_;
       size_t b = it->span_first_;
@@ -350,7 +353,7 @@ Status SstReader::Iterator::LoadSpan(size_t first_block) {
         b += take;
         chunk_left -= take;
         if (chunk_left == 0 && ++chunk < nchunks) {
-          chunk_left = nblocks / nchunks + (chunk < nblocks % nchunks ? 1 : 0);
+          chunk_left = chunk_blocks(chunk);
         }
       }
     }
