@@ -117,9 +117,11 @@ std::vector<EngineConfig> AllEngineConfigs() {
 // concatenation for byte-identity comparison. Returns false on any
 // malformed state (wrong key count, unparseable value).
 bool ScanSnapshot(kv::KVStore* store, const kv::Snapshot* snap,
-                  std::vector<int>* rounds, std::string* raw) {
+                  std::vector<int>* rounds, std::string* raw,
+                  int readahead = 0) {
   kv::ReadOptions opts;
   opts.snapshot = snap;
+  opts.readahead = readahead;
   auto it = store->NewIterator(opts);
   rounds->assign(kNumKeys, -1);
   raw->clear();
@@ -203,9 +205,12 @@ TEST(ScanUnderWriteStress, SnapshotScansSeeWholeRoundsUnderLoad) {
             fail("snapshot scan saw a partial or malformed keyspace");
             return;
           }
-          // Re-scan of the SAME snapshot: byte-identical.
+          // Re-scan of the SAME snapshot with a readahead window wider
+          // than an LSM table (so it continues across file boundaries):
+          // byte-identical.
           std::vector<int> rounds2;
-          if (!ScanSnapshot(store.get(), snap.get(), &rounds2, &raw2) ||
+          if (!ScanSnapshot(store.get(), snap.get(), &rounds2, &raw2,
+                            /*readahead=*/64) ||
               raw2 != raw) {
             fail("re-scan of one snapshot returned different bytes");
             return;
