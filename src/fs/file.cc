@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <mutex>
 
 #include "fs/filesystem.h"
@@ -89,6 +90,11 @@ Status File::WriteAt(uint64_t offset, std::string_view data) {
   return Wait(SubmitWriteAt(offset, data));
 }
 
+Status File::GrowForAppend(uint64_t file_page, uint64_t npages) {
+  return fs_->ExtendInode(
+      inode_, file_page + std::max(npages, fs_->options_.append_alloc_pages));
+}
+
 Status File::AppendImpl(std::string_view data) {
   Inode& inode = *inode_;
   const uint64_t page = fs_->page_bytes_;
@@ -98,10 +104,7 @@ Status File::AppendImpl(std::string_view data) {
     if (tail_off == 0 && data.size() >= page) {
       // Bulk path: whole pages write through directly.
       const uint64_t npages = data.size() / page;
-      PTSB_RETURN_IF_ERROR(fs_->ExtendInode(
-          &inode,
-          std::max(file_page + npages,
-                   file_page + fs_->options_.append_alloc_pages)));
+      PTSB_RETURN_IF_ERROR(GrowForAppend(file_page, npages));
       PTSB_RETURN_IF_ERROR(WriteFilePages(
           fs_, inode, file_page, npages,
           reinterpret_cast<const uint8_t*>(data.data()), page));
@@ -117,9 +120,7 @@ Status File::AppendImpl(std::string_view data) {
     data.remove_prefix(take);
     if (inode.size_bytes % page == 0) {
       // Tail page completed: materialize it.
-      PTSB_RETURN_IF_ERROR(fs_->ExtendInode(
-          &inode, std::max(file_page + 1,
-                           file_page + fs_->options_.append_alloc_pages)));
+      PTSB_RETURN_IF_ERROR(GrowForAppend(file_page, 1));
       PTSB_RETURN_IF_ERROR(WriteFilePages(fs_, inode, file_page, 1,
                                           inode.tail.get(), page));
       inode.synced_bytes = inode.size_bytes;
@@ -208,15 +209,47 @@ Status File::Extend(uint64_t bytes) {
   return Status::OK();
 }
 
-Status File::Sync() {
+Status File::Sync(std::string_view data) {
   Inode& inode = *inode_;
   const uint64_t page = fs_->page_bytes_;
+  const uint64_t first_page = inode.size_bytes / page;
   const uint64_t tail_off = inode.size_bytes % page;
-  if (inode.synced_bytes < inode.size_bytes && tail_off != 0) {
-    const uint64_t file_page = inode.size_bytes / page;
-    PTSB_RETURN_IF_ERROR(fs_->ExtendInode(&inode, file_page + 1));
-    PTSB_RETURN_IF_ERROR(WriteFilePages(fs_, inode, file_page, 1,
-                                        inode.tail.get(), page));
+  const bool tail_dirty =
+      tail_off != 0 && inode.synced_bytes < inode.size_bytes;
+  if (!data.empty() || tail_dirty) {
+    // Allocate as Append(data) + Sync() would, so the file lands on the
+    // same LBAs: chunked growth for the completed old tail page, then for
+    // the whole pages, then the new partial tail page alone.
+    const uint64_t end = inode.size_bytes + data.size();
+    uint64_t file_page = first_page;
+    uint64_t left = data.size();
+    if (tail_off != 0 && tail_off + left >= page) {
+      PTSB_RETURN_IF_ERROR(GrowForAppend(file_page, 1));
+      left -= page - tail_off;
+      file_page++;
+    }
+    if (left >= page) {
+      PTSB_RETURN_IF_ERROR(GrowForAppend(file_page, left / page));
+    }
+    if (end % page != 0) {
+      PTSB_RETURN_IF_ERROR(fs_->ExtendInode(&inode, end / page + 1));
+    }
+
+    // The unsynced range, page-aligned: old tail prefix, data, zero pad.
+    const uint64_t num_pages = (end + page - 1) / page - first_page;
+    const uint64_t used = tail_off + data.size();
+    auto buf = std::make_unique_for_overwrite<uint8_t[]>(num_pages * page);
+    std::memcpy(buf.get(), inode.tail.get(), tail_off);
+    if (!data.empty()) {
+      std::memcpy(buf.get() + tail_off, data.data(), data.size());
+    }
+    std::memset(buf.get() + used, 0, num_pages * page - used);
+    PTSB_RETURN_IF_ERROR(
+        WriteFilePages(fs_, inode, first_page, num_pages, buf.get(), page));
+    inode.size_bytes = end;
+    std::memset(inode.tail.get(), 0, page);
+    std::memcpy(inode.tail.get(), buf.get() + (num_pages - 1) * page,
+                end % page);
   }
   inode.synced_bytes = inode.size_bytes;
   return fs_->device_->Flush();

@@ -1,8 +1,9 @@
 // File handle for SimpleFs. Safe to use from one thread per file while
 // other threads operate on OTHER files: per-file state (tail buffer,
-// sizes, extents) is touched only by this file's user, and the shared
-// substrate (allocator, device) is serialized by the filesystem's I/O
-// mutex — the locking split kv::ShardedStore's per-shard engines rely on.
+// sizes, extents) is touched only by this file's user, the shared
+// allocator is guarded by the filesystem mutex, and device commands take
+// no filesystem lock (the device serializes its own command processing)
+// — the locking split kv::ShardedStore's per-shard engines rely on.
 // A single File shared by two unsynchronized threads is a bug: appends
 // would interleave unpredictably.
 #ifndef PTSB_FS_FILE_H_
@@ -71,9 +72,15 @@ class File {
   // `bytes` (newly allocated space reads as zeros).
   Status Extend(uint64_t bytes);
 
-  // Writes out the buffered tail page (zero-padded) and flushes the device
-  // write cache. After Sync, size() == synced_size().
-  Status Sync();
+  // Appends `data`, then makes the whole unsynced range durable, as an
+  // fsync after buffered writes would: the dirty buffered tail, the new
+  // whole pages and the zero-padded new tail go out as ONE device write
+  // per physically contiguous LBA run, followed by one device flush.
+  // Sync() is the same call with no data: it writes just the dirty tail
+  // page (if any) and flushes. The file lands on the same LBAs as with
+  // Append(data) + Sync(). If a write fails, nothing of `data` is
+  // appended. After Sync, size() == synced_size().
+  Status Sync(std::string_view data = {});
 
   // Releases allocated-but-unused whole pages past the end of the file
   // (appends over-allocate in chunks; call this after finishing a file).
@@ -94,6 +101,9 @@ class File {
   // Synchronous bodies; the public entry points wrap them in submission
   // lanes (submit-then-wait).
   Status AppendImpl(std::string_view data);
+  // Grows the allocation for `npages` completed pages starting at
+  // `file_page`, in append_alloc_pages chunks (delayed allocation).
+  Status GrowForAppend(uint64_t file_page, uint64_t npages);
   Status WriteAtImpl(uint64_t offset, std::string_view data);
 
   SimpleFs* fs_;

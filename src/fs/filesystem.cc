@@ -110,21 +110,28 @@ StatusOr<File*> SimpleFs::OpenOrCreate(const std::string& name) {
   return CreateLocked(name);
 }
 
-Status SimpleFs::DeleteLocked(const std::string& name) {
-  auto it = directory_.find(name);
-  if (it == directory_.end()) {
-    return Status::NotFound("no such file: " + name);
+Status SimpleFs::DeleteLocked(std::span<const std::string> names) {
+  Status status;
+  size_t removed = 0;
+  for (const std::string& name : names) {
+    auto it = directory_.find(name);
+    if (it == directory_.end()) {
+      status = Status::NotFound("no such file: " + name);
+      break;
+    }
+    auto node_it = inodes_.find(it->second);
+    FreeInodeExtents(node_it->second.get());
+    inodes_.erase(node_it);
+    directory_.erase(it);
+    removed++;
   }
-  auto node_it = inodes_.find(it->second);
-  FreeInodeExtents(node_it->second.get());
-  inodes_.erase(node_it);
-  directory_.erase(it);
-  return TouchMetadata();
+  if (removed > 0) PTSB_RETURN_IF_ERROR(TouchMetadata());
+  return status;
 }
 
-Status SimpleFs::Delete(const std::string& name) {
+Status SimpleFs::Delete(std::span<const std::string> names) {
   std::lock_guard<std::mutex> lock(mu_);
-  return DeleteLocked(name);
+  return DeleteLocked(names);
 }
 
 Status SimpleFs::Rename(const std::string& from, const std::string& to) {
@@ -136,7 +143,7 @@ Status SimpleFs::Rename(const std::string& from, const std::string& to) {
   if (from == to) return Status::OK();
   // POSIX rename: silently replaces the target.
   if (directory_.contains(to)) {
-    PTSB_RETURN_IF_ERROR(DeleteLocked(to));
+    PTSB_RETURN_IF_ERROR(DeleteLocked({&to, 1}));
     it = directory_.find(from);
   }
   const uint64_t id = it->second;

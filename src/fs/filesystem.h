@@ -7,11 +7,15 @@
 //    treating them as valid data until the LBAs are rewritten. This is the
 //    mechanism that erodes the "LSM trees are flash friendly" intuition
 //    (paper Section 4.2/4.3).
-//  - Appends are buffered per-file at page granularity; Sync() writes the
-//    partial tail page and issues a device flush. Repeated small appends +
-//    syncs hammer the same LBA, as on a real filesystem.
+//  - Appends are buffered per-file at page granularity; Sync(data) appends
+//    and writes the whole unsynced range (dirty tail, new pages, new
+//    padded tail) as one device write per contiguous LBA run, then issues
+//    a device flush. Repeated small appends + syncs hammer the same LBA,
+//    as on a real filesystem.
 //  - The namespace (directory + inode table) is modeled as a small reserved
-//    metadata region; namespace mutations charge one metadata page write.
+//    metadata region. Each namespace transaction charges one metadata
+//    page write: a create, a rename, or a group Delete of any number of
+//    names (a journaling fs folds a burst of unlinks into one commit).
 //    Namespace durability follows the journaled-fs assumption: after
 //    SimulateCrash() the namespace survives, unsynced file data does not.
 //  - Thread safety, modeled on the kernel's locking split. ONE filesystem
@@ -41,6 +45,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -128,8 +133,16 @@ class SimpleFs {
   // Creates or opens.
   StatusOr<File*> OpenOrCreate(const std::string& name);
 
-  // Deletes a file. Its extents are freed (and trimmed iff !nodiscard).
-  Status Delete(const std::string& name);
+  // Deletes files in order as ONE namespace transaction: one mu_ hold,
+  // one metadata page write for the group. Their extents are freed (and
+  // trimmed iff !nodiscard). Stops at the first missing name with
+  // NotFound; names before it stay deleted and are still charged. An
+  // empty list is a no-op.
+  Status Delete(std::span<const std::string> names);
+  // The one-element group.
+  Status Delete(const std::string& name) {
+    return Delete(std::span<const std::string>(&name, 1));
+  }
   Status Rename(const std::string& from, const std::string& to);
   bool Exists(const std::string& name) const;
   std::vector<std::string> List(const std::string& prefix = "") const;
@@ -168,9 +181,9 @@ class SimpleFs {
   // OpenOrCreate probing then creating) never re-enter the lock.
   StatusOr<File*> CreateLocked(const std::string& name);
   StatusOr<File*> OpenLocked(const std::string& name);
-  Status DeleteLocked(const std::string& name);
+  Status DeleteLocked(std::span<const std::string> names);
 
-  // Charges one metadata page write for a namespace mutation. Caller
+  // Charges one metadata page write for a namespace transaction. Caller
   // holds mu_ (every namespace mutation already does).
   Status TouchMetadata();
 

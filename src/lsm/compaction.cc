@@ -335,25 +335,28 @@ Status CompactionJob::Install() {
     edit.added.emplace_back(pick_.level + 1, meta);
   }
   PTSB_RETURN_IF_ERROR(versions_->LogAndApply(edit));
-  // Drop input files (this job's readers first, then the files). The
-  // store's deleter keeps inputs a snapshot pins on disk as zombies and
-  // reports false; only physical deletions reach deleted_, so the table
-  // cache keeps serving pinned files to snapshot iterators.
+  // Drop input files (this job's readers first, then the files, as one
+  // group delete). The store's deleter keeps inputs a snapshot pins on
+  // disk as zombies and reports false; only physical deletions reach
+  // deleted_, so the table cache keeps serving pinned files to snapshot
+  // iterators.
   inputs_.clear();
-  auto dispose = [&](const FileMeta& f) -> Status {
-    bool deleted = true;
-    if (file_deleter_) {
-      PTSB_ASSIGN_OR_RETURN(deleted, file_deleter_(f));
-    } else {
-      PTSB_RETURN_IF_ERROR(
-          fs_->Delete(VersionSet::SstFileName(dir_, f.number)));
+  return DisposeInputs(fs_, dir_, pick_, file_deleter_, &deleted_);
+}
+
+Status DisposeInputs(fs::SimpleFs* fs, const std::string& dir,
+                     const CompactionPick& pick,
+                     const CompactionJob::FileDeleter& deleter,
+                     std::vector<uint64_t>* deleted) {
+  std::vector<std::string> names;
+  for (const auto* inputs : {&pick.inputs0, &pick.inputs1}) {
+    for (const FileMeta& f : *inputs) {
+      if (deleter && !deleter(f)) continue;  // parked as a zombie
+      deleted->push_back(f.number);
+      names.push_back(VersionSet::SstFileName(dir, f.number));
     }
-    if (deleted) deleted_.push_back(f.number);
-    return Status::OK();
-  };
-  for (const FileMeta& f : pick_.inputs0) PTSB_RETURN_IF_ERROR(dispose(f));
-  for (const FileMeta& f : pick_.inputs1) PTSB_RETURN_IF_ERROR(dispose(f));
-  return Status::OK();
+  }
+  return fs->Delete(names);
 }
 
 }  // namespace ptsb::lsm

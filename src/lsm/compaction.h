@@ -115,11 +115,13 @@ class CompactionJob {
   // store's deleter turned them into zombies instead of deleting them.
   const std::vector<uint64_t>& deleted_files() const { return deleted_; }
 
-  // Input disposal hook. Returns true if the file was physically deleted,
-  // false if it must outlive the compaction (an open snapshot reads it);
-  // the store installs one that parks pinned inputs as zombies. Unset,
-  // inputs are deleted directly.
-  using FileDeleter = std::function<StatusOr<bool>(const FileMeta&)>;
+  // Input disposal hook: decides only whether an input goes now. Returns
+  // true if the install should delete it, false if it must outlive the
+  // compaction (an open snapshot reads it); the store installs one that
+  // parks pinned inputs as zombies. Unset, every input is deleted. The
+  // install deletes all inputs that go with ONE SimpleFs::Delete call
+  // (one metadata page for the group).
+  using FileDeleter = std::function<bool(const FileMeta&)>;
   void set_file_deleter(FileDeleter deleter) {
     file_deleter_ = std::move(deleter);
   }
@@ -165,6 +167,18 @@ class CompactionJob {
   std::vector<uint64_t> deleted_;
   FileDeleter file_deleter_;
 };
+
+// Disposes a compaction's inputs once its manifest edit is committed:
+// every input the deleter lets go (all of them, with no deleter) is
+// deleted in ONE SimpleFs::Delete call — one metadata page for the
+// group. Appends the numbers it deletes to *deleted (before deleting,
+// so the caller can evict their table-cache readers even if the delete
+// fails). Shared by CompactionJob::Install and the store's subcompaction
+// install.
+Status DisposeInputs(fs::SimpleFs* fs, const std::string& dir,
+                     const CompactionPick& pick,
+                     const CompactionJob::FileDeleter& deleter,
+                     std::vector<uint64_t>* deleted);
 
 }  // namespace ptsb::lsm
 

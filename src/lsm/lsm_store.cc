@@ -469,25 +469,13 @@ Status LsmStore::InstallSubcompaction() {
       }
     }
     PTSB_RETURN_IF_ERROR(versions_->LogAndApply(edit));
-    // Close the shared readers, then dispose the inputs once (the
-    // deleter parks snapshot-pinned inputs as on-disk zombies; only
-    // physical deletions reach the eviction list) — same order as
-    // CompactionJob::Install.
+    // Close the shared readers, then dispose the inputs once, as one
+    // group delete (the deleter parks snapshot-pinned inputs as on-disk
+    // zombies; only physical deletions reach the eviction list) — same
+    // order as CompactionJob::Install.
     sub.jobs.clear();
     sub.input_readers.clear();
-    const CompactionJob::FileDeleter deleter = MakeFileDeleter();
-    auto dispose = [&](const FileMeta& f) -> Status {
-      PTSB_ASSIGN_OR_RETURN(const bool gone, deleter(f));
-      if (gone) deleted.push_back(f.number);
-      return Status::OK();
-    };
-    for (const FileMeta& f : sub.pick.inputs0) {
-      PTSB_RETURN_IF_ERROR(dispose(f));
-    }
-    for (const FileMeta& f : sub.pick.inputs1) {
-      PTSB_RETURN_IF_ERROR(dispose(f));
-    }
-    return Status::OK();
+    return DisposeInputs(fs_, dir_, sub.pick, MakeFileDeleter(), &deleted);
   });
   stats_.time_background_ns += r.busy_ns;
   parallel_job_.reset();
@@ -719,15 +707,12 @@ void LsmStore::UnpinFile(uint64_t number) {
 }
 
 CompactionJob::FileDeleter LsmStore::MakeFileDeleter() {
-  return [this](const FileMeta& f) -> StatusOr<bool> {
-    if (pins_.count(f.number) != 0) {
-      // A snapshot still reads this input: park it as an on-disk zombie.
-      zombies_[f.number] = f.file_bytes;
-      stats_.snapshot_pinned_bytes += f.file_bytes;
-      return false;
-    }
-    PTSB_RETURN_IF_ERROR(fs_->Delete(VersionSet::SstFileName(dir_, f.number)));
-    return true;
+  return [this](const FileMeta& f) {
+    if (pins_.count(f.number) == 0) return true;
+    // A snapshot still reads this input: park it as an on-disk zombie.
+    zombies_[f.number] = f.file_bytes;
+    stats_.snapshot_pinned_bytes += f.file_bytes;
+    return false;
   };
 }
 

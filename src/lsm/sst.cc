@@ -103,8 +103,10 @@ Status SstBuilder::Finish() {
   PTSB_RETURN_IF_ERROR(StageWrite(footer));
   offset_ += footer.size();
 
-  PTSB_RETURN_IF_ERROR(FlushStaged());
-  PTSB_RETURN_IF_ERROR(file_->Sync());
+  // The staged tail goes out with the sync: one device write per
+  // contiguous LBA run, then the flush.
+  PTSB_RETURN_IF_ERROR(file_->Sync(staged_));
+  staged_.clear();
   return file_->ShrinkToFit();
 }
 

@@ -279,15 +279,13 @@ Status VersionSet::WriteSnapshot() {
   PutFixed32(&record, MaskCrc(Crc32c(payload)));
   PutVarint32(&record, static_cast<uint32_t>(payload.size()));
   record.append(payload);
-  PTSB_RETURN_IF_ERROR(file->Append(record));
-  PTSB_RETURN_IF_ERROR(file->Sync());
+  PTSB_RETURN_IF_ERROR(file->Sync(record));
 
   // Point CURRENT at it.
   const std::string tmp = CurrentName() + ".tmp";
   if (fs_->Exists(tmp)) PTSB_RETURN_IF_ERROR(fs_->Delete(tmp));
   PTSB_ASSIGN_OR_RETURN(fs::File * cur, fs_->Create(tmp));
-  PTSB_RETURN_IF_ERROR(cur->Append(name));
-  PTSB_RETURN_IF_ERROR(cur->Sync());
+  PTSB_RETURN_IF_ERROR(cur->Sync(name));
   PTSB_RETURN_IF_ERROR(fs_->Rename(tmp, CurrentName()));
 
   manifest_file_ = file;
@@ -319,8 +317,7 @@ Status VersionSet::LogAndApply(const VersionEdit& edit) {
   PutFixed32(&record, MaskCrc(Crc32c(payload)));
   PutVarint32(&record, static_cast<uint32_t>(payload.size()));
   record.append(payload);
-  PTSB_RETURN_IF_ERROR(manifest_file_->Append(record));
-  PTSB_RETURN_IF_ERROR(manifest_file_->Sync());
+  PTSB_RETURN_IF_ERROR(manifest_file_->Sync(record));
   manifest_edits_++;
   return Status::OK();
 }

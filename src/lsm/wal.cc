@@ -72,23 +72,20 @@ Status WalWriter::EmitRecord(std::string_view payload) {
   buffer_.append(payload.data(), payload.size());
   bytes_written_ += buffer_.size() - framed_start;
 
-  if (buffer_.size() >= buffer_bytes_) {
-    PTSB_RETURN_IF_ERROR(FlushBuffer());
-  }
   if (sync_every_bytes_ > 0) {
     unsynced_ += payload.size();
-    if (unsynced_ >= sync_every_bytes_) {
-      unsynced_ = 0;
-      return Sync();
-    }
+    // A due sync takes the whole buffer with it (one fused write).
+    if (unsynced_ >= sync_every_bytes_) return Sync();
   }
+  if (buffer_.size() >= buffer_bytes_) return FlushBuffer();
   return Status::OK();
 }
 
 Status WalWriter::Sync() {
   unsynced_ = 0;
-  PTSB_RETURN_IF_ERROR(FlushBuffer());
-  return file_->Sync();
+  PTSB_RETURN_IF_ERROR(file_->Sync(buffer_));
+  buffer_.clear();
+  return Status::OK();
 }
 
 Status ReplayWal(fs::File* file,
