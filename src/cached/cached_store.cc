@@ -669,12 +669,7 @@ class CachedStore::MergeIterator : public kv::KVStore::Iterator {
 };
 
 std::unique_ptr<kv::KVStore::Iterator> CachedStore::NewIterator() {
-  PTSB_CHECK(!closed_);
-  return write_group_.RunExclusive(
-      [&]() -> std::unique_ptr<kv::KVStore::Iterator> {
-        stats_.user_scans++;
-        return std::make_unique<MergeIterator>(this, inner_->NewIterator());
-      });
+  return NewIterator(kv::ReadOptions{});
 }
 
 // The wrapper's snapshot is a composite: a full copy of the write buffer
@@ -859,8 +854,16 @@ class CachedStore::SnapIterator : public kv::KVStore::Iterator {
 
 std::unique_ptr<kv::KVStore::Iterator> CachedStore::NewIterator(
     const kv::ReadOptions& opts) {
-  if (opts.snapshot == nullptr) return NewIterator();
   PTSB_CHECK(!closed_);
+  if (opts.snapshot == nullptr) {
+    // Live cursor: the inner engine gets the caller's readahead.
+    return write_group_.RunExclusive(
+        [&]() -> std::unique_ptr<kv::KVStore::Iterator> {
+          stats_.user_scans++;
+          return std::make_unique<MergeIterator>(this,
+                                                 inner_->NewIterator(opts));
+        });
+  }
   const auto* snap = static_cast<const SnapshotImpl*>(opts.snapshot);
   PTSB_CHECK(snap->store_ == this);
   return write_group_.RunExclusive(
