@@ -4,7 +4,8 @@
 // resistance (one full iterator pass must not evict the hot working
 // set), exact hit/miss accounting on a scripted trace, write-buffer
 // coalescing accounting, and configuration rejection (bad policy, bad
-// watermark, META mismatch on reopen).
+// watermark, META mismatch on reopen), and live scans keeping their
+// readahead.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -13,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "block/iostat.h"
 #include "block/memory_device.h"
 #include "cached/cached_store.h"
 #include "cached/read_cache.h"
@@ -268,6 +270,52 @@ TEST(CachedStoreTest, HitAndMissCountersAreExact) {
   EXPECT_EQ(stats.cache_hits, 5u);
   EXPECT_EQ(stats.cache_misses, 5u);
   EXPECT_EQ(stats.user_gets, 10u);
+}
+
+// A live (snapshot-less) cursor hands its readahead to the inner engine:
+// a readahead-4 scan over cached/lsm reads exactly as many device
+// commands as the same scan through a snapshot, well under one per block.
+TEST(CachedStoreTest, LiveScanPassesReadaheadToTheInnerEngine) {
+  block::MemoryBlockDevice dev{4096, 1 << 15};
+  block::IoStatCollector io{&dev};
+  fs::SimpleFs fs{&io, {}};
+  kv::RegisterBuiltinEngines();
+  kv::EngineOptions options;
+  options.engine = "cached";
+  options.fs = &fs;
+  options.params = {{"inner_engine", "lsm"},
+                    {"memtable_bytes", std::to_string(64 << 10)},
+                    {"sst_target_bytes", std::to_string(128 << 10)},
+                    {"block_bytes", "4096"},
+                    {"write_buffer_bytes", std::to_string(32 << 10)}};
+  auto opened = cached::CachedStore::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<cached::CachedStore> store = *std::move(opened);
+  constexpr uint64_t kKeys = 2000;
+  for (uint64_t i = 0; i < kKeys; i++) {
+    ASSERT_TRUE(store->Put(kv::MakeKey(i), kv::MakeValue(i, 64)).ok());
+  }
+  ASSERT_TRUE(store->Flush().ok());
+
+  auto scan_reads = [&](const kv::ReadOptions& opts) {
+    const block::IoCounters before = io.counters();
+    auto it = store->NewIterator(opts);
+    uint64_t n = 0;
+    for (it->SeekToFirst(); it->Valid(); it->Next()) n++;
+    EXPECT_TRUE(it->status().ok()) << it->status().ToString();
+    EXPECT_EQ(n, kKeys);
+    return (io.counters() - before).read_ops;
+  };
+  scan_reads({});  // opens every table's reader
+  const uint64_t block_by_block = scan_reads({});
+  const uint64_t live = scan_reads({.readahead = 4});
+  auto snap = *store->GetSnapshot();
+  const uint64_t pinned = scan_reads({.snapshot = snap.get(), .readahead = 4});
+  EXPECT_EQ(live, pinned);
+  EXPECT_LT(live, block_by_block / 2)
+      << "block by block " << block_by_block << ", readahead 4 " << live;
+  snap.reset();
+  ASSERT_TRUE(store->Close().ok());
 }
 
 // Rewrites absorbed by the buffer are counted byte-exactly and never

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "block/iostat.h"
 #include "block/memory_device.h"
@@ -14,6 +15,7 @@
 #include "fs/filesystem.h"
 #include "sim/clock.h"
 #include "ssd/ssd_device.h"
+#include "test_support.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -345,6 +347,208 @@ TEST_F(FsReadAtTest, EveryWindowMatchesAndReadsCoveringPagesOnce) {
           << "window " << off << "+" << len;
     }
   }
+}
+
+// Fails every device write issued on behalf of `name` ("" = namespace
+// metadata).
+class FailWritesTo : public FaultPolicy {
+ public:
+  explicit FailWritesTo(std::string name) : name_(std::move(name)) {}
+  Status BeforeDeviceWrite(const std::string& name) override {
+    return name == name_ ? Status::IoError("injected fault") : Status::OK();
+  }
+
+ private:
+  std::string name_;
+};
+
+std::string Pattern(uint64_t n, uint64_t seed) {
+  std::string out(n, '\0');
+  for (uint64_t i = 0; i < n; i++) {
+    out[i] = static_cast<char>(i * 131 + seed * 17 + i / 251);
+  }
+  return out;
+}
+
+// Sync(data) on "a" against Append(data) + Sync() on a twin filesystem.
+class FsFusedSyncTest : public ::testing::Test {
+ protected:
+  struct Case {
+    uint64_t prefix;      // bytes appended to "a" first
+    bool sync_prefix;     // ... then synced
+    uint64_t interleave;  // bytes appended to "b" next (splits a's extents)
+    uint64_t data;        // bytes the fused Sync appends
+    uint64_t runs;        // contiguous LBA runs the unsynced range spans
+  };
+
+  FsFusedSyncTest()
+      : dev_(kPage, 1024),
+        log_(&dev_),
+        fs_(&log_, SmallFsOptions()),
+        ref_dev_(kPage, 1024),
+        ref_fs_(&ref_dev_, SmallFsOptions()) {}
+
+  static std::string ReadAll(File* f) {
+    std::string out(f->size(), '\0');
+    auto n = f->ReadAt(0, out.size(), out.data());
+    PTSB_CHECK_OK(n.status());
+    out.resize(*n);
+    return out;
+  }
+
+  // Brings "a" and "b" of both filesystems to the case's starting state.
+  void Prepare(const Case& c, File** a, File** ref) {
+    *a = *fs_.Create("a");
+    *ref = *ref_fs_.Create("a");
+    File* b = *fs_.Create("b");
+    File* ref_b = *ref_fs_.Create("b");
+    for (File* f : {*a, *ref}) {
+      ASSERT_TRUE(f->Append(Pattern(c.prefix, 1)).ok());
+      if (c.sync_prefix) {
+        ASSERT_TRUE(f->Sync().ok());
+      }
+    }
+    for (File* f : {b, ref_b}) {
+      ASSERT_TRUE(f->Append(Pattern(c.interleave, 3)).ok());
+    }
+  }
+
+  void Check(const Case& c) {
+    File* a = nullptr;
+    File* ref = nullptr;
+    Prepare(c, &a, &ref);
+    if (HasFatalFailure()) return;
+    const std::string data = Pattern(c.data, 2);
+    const uint64_t writes = log_.writes();
+    const uint64_t flushes = log_.flushes();
+    ASSERT_TRUE(a->Sync(data).ok());
+    EXPECT_EQ(log_.writes() - writes, c.runs);
+    EXPECT_EQ(log_.flushes() - flushes, 1u);
+    ASSERT_TRUE(ref->Append(data).ok());
+    ASSERT_TRUE(ref->Sync().ok());
+
+    const std::string want = Pattern(c.prefix, 1) + data;
+    EXPECT_EQ(ReadAll(a), want);
+    EXPECT_EQ(ReadAll(ref), want);
+    EXPECT_EQ(a->synced_size(), ref->synced_size());
+    EXPECT_EQ(a->synced_size(), want.size());
+    EXPECT_EQ(a->ExtentCount(), ref->ExtentCount());
+    EXPECT_EQ(a->allocated_bytes(), ref->allocated_bytes());
+    // Durable: a crash keeps every byte.
+    fs_.SimulateCrash();
+    EXPECT_EQ(a->size(), want.size());
+    EXPECT_EQ(ReadAll(a), want);
+    EXPECT_TRUE(fs_.CheckConsistency().ok());
+  }
+
+  block::MemoryBlockDevice dev_;
+  testing::WriteLogDevice log_;
+  SimpleFs fs_;
+  block::MemoryBlockDevice ref_dev_;
+  SimpleFs ref_fs_;
+};
+
+TEST_F(FsFusedSyncTest, FreshFileIsOneCommand) {
+  Check({0, false, 0, 2 * kPage + kPage / 2, 1});
+}
+
+TEST_F(FsFusedSyncTest, UnsyncedPartialTailGoesWithTheData) {
+  Check({100, false, 0, 2 * kPage + 50, 1});
+}
+
+TEST_F(FsFusedSyncTest, SyncedPartialTailIsRewrittenOnce) {
+  Check({100, true, 0, 3 * kPage, 1});
+}
+
+TEST_F(FsFusedSyncTest, ExtentBoundaryCostsOneCommandPerRun) {
+  // a's tail page is the last page of its first 4-page extent; "b" takes
+  // the next four, so a's next pages land elsewhere: two runs.
+  Check({3 * kPage + 100, false, 4 * kPage, 2 * kPage, 2});
+}
+
+TEST_F(FsFusedSyncTest, PlainSyncWritesOnlyADirtyTail) {
+  Check({100, false, 0, 0, 1});
+}
+
+TEST_F(FsFusedSyncTest, PlainSyncOfACleanFileOnlyFlushes) {
+  Check({2 * kPage, false, 0, 0, 0});
+}
+
+TEST_F(FsFusedSyncTest, FaultOnTheFusedWriteFailsTheCall) {
+  File* a = *fs_.Create("a");
+  ASSERT_TRUE(a->Append(Pattern(100, 1)).ok());
+  FailWritesTo policy("a");
+  fs_.SetFaultPolicy(&policy);
+  const uint64_t writes = log_.writes();
+  const Status s = a->Sync(Pattern(2 * kPage, 2));
+  fs_.SetFaultPolicy(nullptr);
+  EXPECT_TRUE(s.IsIoError()) << s.ToString();
+  EXPECT_EQ(log_.writes(), writes);
+  // Nothing of the data was appended; the old tail is still unsynced.
+  EXPECT_EQ(a->size(), 100u);
+  EXPECT_EQ(a->synced_size(), 0u);
+  EXPECT_EQ(ReadAll(a), Pattern(100, 1));
+}
+
+class FsGroupDeleteTest : public ::testing::Test {
+ protected:
+  FsGroupDeleteTest()
+      : dev_(kPage, 1024), log_(&dev_), fs_(&log_, SmallFsOptions()) {}
+
+  uint64_t MetadataWrites() const {
+    return log_.WritesBelow(fs_.options().metadata_pages);
+  }
+  std::vector<std::string> MakeFiles(int n) {
+    std::vector<std::string> names;
+    for (int i = 0; i < n; i++) {
+      names.push_back("f" + std::to_string(i));
+      File* f = *fs_.Create(names.back());
+      PTSB_CHECK_OK(f->Sync(Pattern(2 * kPage + 10, i)));
+    }
+    return names;
+  }
+
+  block::MemoryBlockDevice dev_;
+  testing::WriteLogDevice log_;
+  SimpleFs fs_;
+};
+
+TEST_F(FsGroupDeleteTest, GroupOfNWritesOneMetadataPage) {
+  const uint64_t free_before = fs_.GetStats().free_bytes;
+  const std::vector<std::string> names = MakeFiles(6);
+  const uint64_t meta = MetadataWrites();
+  const uint64_t writes = log_.writes();
+  ASSERT_TRUE(fs_.Delete(names).ok());
+  EXPECT_EQ(MetadataWrites() - meta, 1u);
+  EXPECT_EQ(log_.writes() - writes, 1u);
+  for (const std::string& name : names) EXPECT_FALSE(fs_.Exists(name));
+  EXPECT_EQ(fs_.GetStats().free_bytes, free_before);
+  EXPECT_TRUE(fs_.CheckConsistency().ok());
+  // An empty group is a no-op.
+  ASSERT_TRUE(fs_.Delete(std::vector<std::string>{}).ok());
+  EXPECT_EQ(log_.writes() - writes, 1u);
+}
+
+TEST_F(FsGroupDeleteTest, StopsAtTheFirstMissingName) {
+  MakeFiles(2);
+  const uint64_t meta = MetadataWrites();
+  const std::vector<std::string> names = {"f0", "missing", "f1"};
+  EXPECT_TRUE(fs_.Delete(names).IsNotFound());
+  EXPECT_FALSE(fs_.Exists("f0"));
+  EXPECT_TRUE(fs_.Exists("f1"));
+  EXPECT_EQ(MetadataWrites() - meta, 1u);
+  EXPECT_TRUE(fs_.CheckConsistency().ok());
+}
+
+TEST_F(FsGroupDeleteTest, FaultOnTheMetadataPageReturnsTheError) {
+  const std::vector<std::string> names = MakeFiles(4);
+  FailWritesTo policy("");
+  fs_.SetFaultPolicy(&policy);
+  const uint64_t meta = MetadataWrites();
+  const Status s = fs_.Delete(names);
+  fs_.SetFaultPolicy(nullptr);
+  EXPECT_TRUE(s.IsIoError()) << s.ToString();
+  EXPECT_EQ(MetadataWrites(), meta);
 }
 
 TEST(FsNodiscardTest, DiscardModeTrimsOnDelete) {

@@ -15,6 +15,7 @@
 #include "kv/registry.h"
 #include "kv/write_batch.h"
 #include "lsm/lsm_store.h"
+#include "lsm/sst.h"
 #include "sim/clock.h"
 #include "ssd/ssd_device.h"
 #include "test_support.h"
@@ -949,6 +950,134 @@ TEST_F(LsmStoreTest, SnapshotReadsOldVersionAfterOverwrites) {
   EXPECT_EQ(store->MemtableBytes(), unpinned);
   ASSERT_TRUE(store->Close().ok());
 }
+
+// Every table fits SstBuilder's 256 KiB write buffer, so Finish writes
+// the whole file: one command for its one extent (a separate command for
+// the tail page would make two).
+TEST(LsmSstFinishTest, OneExtentFileIsOneWriteCommand) {
+  block::MemoryBlockDevice dev(4096, 1 << 14);
+  testing::WriteLogDevice log(&dev);
+  fs::SimpleFs fs(&log, {});
+  fs::File* file = *fs.Create("t.sst");
+  const uint64_t writes = log.writes();
+  SstBuilder builder(file, 1024, 10);
+  for (int i = 0; i < 300; i++) {
+    ASSERT_TRUE(builder
+                    .Add(kv::MakeKey(i), 100 + i, EntryType::kPut,
+                         kv::MakeValue(i, 100))
+                    .ok());
+  }
+  ASSERT_TRUE(builder.Finish().ok());
+  EXPECT_EQ(file->ExtentCount(), 1u);
+  EXPECT_GT(file->size(), 8 * 4096u);
+  EXPECT_EQ(file->synced_size(), file->size());
+  EXPECT_EQ(log.writes() - writes, 1u);
+  auto reader = SstReader::Open(file);
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ((*reader)->num_entries(), 300u);
+}
+
+// One L0 -> L1 compaction of four overlapping L0 tables on a timed SSD,
+// through the single-job install (K=1) and the subcompaction install
+// (K=4). Counted at the device: metadata-region writes (LBAs below
+// FsOptions::metadata_pages).
+class LsmInstallTest : public ::testing::TestWithParam<int> {
+ protected:
+  static ssd::SsdConfig Config() {
+    ssd::SsdConfig cfg;
+    cfg.geometry.logical_bytes = 64ull << 20;
+    cfg.channels = 4;
+    cfg.timing.cache_bytes = 0;
+    return cfg;
+  }
+
+  LsmInstallTest() : ssd(Config(), &clock), log(&ssd), fs(&log, {}) {
+    LsmOptions o;
+    o.memtable_bytes = 256 << 10;  // a round fits: one flush, one table
+    o.l0_compaction_trigger = 4;
+    o.l0_stall_trigger = 1000;
+    o.l1_target_bytes = 64 << 20;  // nothing below L1 is ever due
+    o.sst_target_bytes = 64 << 10;
+    o.block_bytes = 1024;
+    o.compaction_work_per_user_write = 0;  // compaction waits for Drain
+    o.background_io = true;
+    o.clock = &clock;
+    o.compaction_parallelism = GetParam();
+    store = *LsmStore::Open(&fs, o);
+  }
+
+  // Four flushed L0 tables over the same key range.
+  void FillL0() {
+    for (int round = 0; round < 4; round++) {
+      for (int i = 0; i < 400; i++) {
+        ASSERT_TRUE(store
+                        ->Put(kv::MakeKey(i * 7 % 400),
+                              kv::MakeValue(round * 1000 + i, 100))
+                        .ok());
+      }
+      ASSERT_TRUE(store->Flush().ok());
+    }
+    ASSERT_EQ(store->versions().LevelFiles(0).size(), 4u);
+    ASSERT_TRUE(store->versions().LevelFiles(1).empty());
+  }
+
+  std::vector<std::string> L0Names() const {
+    std::vector<std::string> names;
+    for (const FileMeta& f : store->versions().LevelFiles(0)) {
+      names.push_back(VersionSet::SstFileName("lsm", f.number));
+    }
+    return names;
+  }
+  uint64_t MetadataWrites() const {
+    return log.WritesBelow(fs.options().metadata_pages);
+  }
+
+  sim::SimClock clock;
+  ssd::SsdDevice ssd;
+  testing::WriteLogDevice log;
+  fs::SimpleFs fs;
+  std::unique_ptr<LsmStore> store;
+};
+
+TEST_P(LsmInstallTest, OneMetadataWriteDeletesAllInputs) {
+  FillL0();
+  if (HasFatalFailure()) return;
+  const std::vector<std::string> inputs = L0Names();
+  const uint64_t meta = MetadataWrites();
+  ASSERT_TRUE(store->DrainCompactions().ok());
+  const uint64_t outputs = store->versions().LevelFiles(1).size();
+  ASSERT_TRUE(store->versions().LevelFiles(0).empty());
+  ASSERT_GE(outputs, 1u);
+  for (const std::string& name : inputs) EXPECT_FALSE(fs.Exists(name));
+  // One create per output, then ONE page for the install's group delete
+  // of all four inputs.
+  EXPECT_EQ(MetadataWrites() - meta, outputs + 1);
+  ASSERT_TRUE(store->Close().ok());
+}
+
+TEST_P(LsmInstallTest, PinnedInputsBecomeZombiesDeletedOnceOnUnpin) {
+  FillL0();
+  if (HasFatalFailure()) return;
+  const std::vector<std::string> inputs = L0Names();
+  auto snap = *store->GetSnapshot();
+  const uint64_t meta = MetadataWrites();
+  ASSERT_TRUE(store->DrainCompactions().ok());
+  const uint64_t outputs = store->versions().LevelFiles(1).size();
+  // Every input is pinned: the install deletes nothing.
+  for (const std::string& name : inputs) EXPECT_TRUE(fs.Exists(name));
+  EXPECT_EQ(MetadataWrites() - meta, outputs);
+  EXPECT_GT(store->GetStats().snapshot_pinned_bytes, 0u);
+
+  const uint64_t before_unpin = MetadataWrites();
+  snap.reset();
+  for (const std::string& name : inputs) EXPECT_FALSE(fs.Exists(name));
+  EXPECT_EQ(MetadataWrites() - before_unpin, inputs.size());
+  EXPECT_EQ(store->GetStats().snapshot_pinned_bytes, 0u);
+  ASSERT_TRUE(store->Close().ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(SingleJobAndSubcompactions, LsmInstallTest,
+                         ::testing::Values(1, 4));
 
 // Property sweep over workload shapes: the store must match the reference
 // model under every mix.

@@ -7,11 +7,13 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "block/block_device.h"
 #include "kv/kvstore.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -98,6 +100,63 @@ inline void VerifyAll(kv::KVStore* store, const ReferenceModel& model) {
     ASSERT_EQ(got, expected) << "wrong value for " << key;
   }
 }
+
+// Pass-through block device that counts write commands by where they
+// start, so a test can tell the filesystem's metadata region (LBAs below
+// FsOptions::metadata_pages) from file data.
+class WriteLogDevice : public block::BlockDevice {
+ public:
+  explicit WriteLogDevice(block::BlockDevice* base) : base_(base) {}
+
+  uint64_t lba_bytes() const override { return base_->lba_bytes(); }
+  uint64_t num_lbas() const override { return base_->num_lbas(); }
+  sim::SimClock* clock() const override { return base_->clock(); }
+  Status Read(uint64_t lba, uint64_t count, uint8_t* dst) override {
+    return base_->Read(lba, count, dst);
+  }
+  Status Write(uint64_t lba, uint64_t count, const uint8_t* src) override {
+    Status s = base_->Write(lba, count, src);
+    if (s.ok()) {
+      std::lock_guard<std::mutex> lock(mu_);
+      write_lbas_.push_back(lba);
+    }
+    return s;
+  }
+  Status Trim(uint64_t lba, uint64_t count) override {
+    return base_->Trim(lba, count);
+  }
+  Status Flush() override {
+    Status s = base_->Flush();
+    if (s.ok()) {
+      std::lock_guard<std::mutex> lock(mu_);
+      flushes_++;
+    }
+    return s;
+  }
+
+  // Successful write commands and flushes so far, and the write commands
+  // starting below `lba`.
+  uint64_t writes() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return write_lbas_.size();
+  }
+  uint64_t flushes() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return flushes_;
+  }
+  uint64_t WritesBelow(uint64_t lba) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    uint64_t n = 0;
+    for (const uint64_t l : write_lbas_) n += l < lba ? 1 : 0;
+    return n;
+  }
+
+ private:
+  block::BlockDevice* base_;
+  mutable std::mutex mu_;
+  std::vector<uint64_t> write_lbas_;
+  uint64_t flushes_ = 0;
+};
 
 }  // namespace ptsb::testing
 
