@@ -34,7 +34,12 @@
 //     tail (lane 3 folds onto the foreground's channel; the slice is
 //     what keeps commits responsive there),
 //   - K=1 is today's serial compactor, reproduced exactly: a repeat run
-//     is nanosecond-identical.
+//     is nanosecond-identical,
+//   - the install probe (one L0 -> L1 compaction of four overlapping
+//     tables, at K=1 and K=4) costs at most one device write command per
+//     finished SST (Finish writes the staged table and its tail as one
+//     command) and at most one metadata write per install (the inputs go
+//     as one group delete).
 //
 //   ./build/micro_compact
 //   ./build/micro_compact --smoke        # CI-sized, same self-checks
@@ -88,6 +93,92 @@ struct CompactCell {
   uint64_t preemptions = 0;
   uint32_t checksum = 0;
 };
+
+// Counts the filesystem's device write commands through its fault hook
+// (consulted once per write command; this policy never faults): "" is
+// namespace metadata, "*.sst" is table data.
+class WriteTally : public fs::FaultPolicy {
+ public:
+  Status BeforeDeviceWrite(const std::string& name) override {
+    if (name.empty()) metadata++;
+    if (name.ends_with(".sst")) sst++;
+    return Status::OK();
+  }
+  uint64_t metadata = 0;
+  uint64_t sst = 0;
+};
+
+struct InstallProbe {
+  uint64_t inputs = 0;   // tables the compaction removed
+  uint64_t outputs = 0;  // tables it finished
+  double sst_cmds_per_output = 0;
+  uint64_t install_metadata = 0;  // metadata writes beyond output creates
+};
+
+std::vector<std::string> SstFiles(const fs::SimpleFs& fs) {
+  std::vector<std::string> names = fs.List("lsm/");
+  std::erase_if(names,
+                [](const std::string& n) { return !n.ends_with(".sst"); });
+  return names;
+}
+
+// One L0 -> L1 compaction of four overlapping flushed tables at
+// parallelism K: outputs fit SstBuilder's write buffer, so each Finish
+// writes a whole table; the install then removes all four inputs.
+InstallProbe RunInstallProbe(int parallelism) {
+  sim::SimClock clock;
+  ssd::SsdConfig cfg;
+  cfg.geometry.logical_bytes = 64ull << 20;
+  cfg.channels = 4;
+  cfg.timing.cache_bytes = 0;
+  ssd::SsdDevice ssd(cfg, &clock);
+  fs::SimpleFs fs(&ssd, {});
+  kv::EngineOptions options;
+  options.engine = "lsm";
+  options.fs = &fs;
+  options.clock = &clock;
+  options.params = {{"memtable_bytes", std::to_string(256 << 10)},
+                    {"l1_target_bytes", std::to_string(64 << 20)},
+                    {"sst_target_bytes", std::to_string(64 << 10)},
+                    {"l0_stall_trigger", "1000"},
+                    {"compaction_work_per_user_write", "0"},
+                    {"background_io", "1"},
+                    {"compaction_parallelism", std::to_string(parallelism)}};
+  auto opened = kv::OpenStore(options);
+  PTSB_CHECK_OK(opened.status());
+  auto store = *std::move(opened);
+  for (int round = 0; round < 4; round++) {
+    for (int i = 0; i < 400; i++) {
+      PTSB_CHECK_OK(store->Put(kv::MakeKey(i * 7 % 400),
+                               kv::MakeValue(round * 1000 + i, 100)));
+    }
+    PTSB_CHECK_OK(store->Flush());
+  }
+
+  const std::vector<std::string> before = SstFiles(fs);
+  WriteTally tally;
+  fs.SetFaultPolicy(&tally);
+  PTSB_CHECK_OK(store->SettleBackgroundWork());
+  fs.SetFaultPolicy(nullptr);
+  const std::vector<std::string> after = SstFiles(fs);
+  PTSB_CHECK_OK(store->Close());
+
+  InstallProbe r;
+  for (const std::string& n : before) {
+    if (std::find(after.begin(), after.end(), n) == after.end()) r.inputs++;
+  }
+  for (const std::string& n : after) {
+    if (std::find(before.begin(), before.end(), n) == before.end()) {
+      r.outputs++;
+    }
+  }
+  if (r.outputs > 0) {
+    r.sst_cmds_per_output = static_cast<double>(tally.sst) /
+                            static_cast<double>(r.outputs);
+  }
+  r.install_metadata = tally.metadata - std::min(tally.metadata, r.outputs);
+  return r;
+}
 
 // One cell: the fixed LSM workload under one (K, channels, pacing,
 // slice) point.
@@ -355,6 +446,31 @@ int main(int argc, char** argv) {
                 static_cast<long long>(again.settled_ns),
                 static_cast<long long>(cells[kBaseline].settled_ns));
     return 1;
+  }
+  // 8. The install probe: Finish fuses a table's staged bytes and its
+  // tail page into one command, and the install deletes its inputs as
+  // one group (one metadata page), on both install paths.
+  for (const int k : {1, 4}) {
+    const InstallProbe p = RunInstallProbe(k);
+    std::printf(
+        "install probe K=%d: %llu inputs -> %llu outputs; device write "
+        "commands per finished SST %.2f; metadata writes per install "
+        "%llu\n",
+        k, static_cast<unsigned long long>(p.inputs),
+        static_cast<unsigned long long>(p.outputs), p.sst_cmds_per_output,
+        static_cast<unsigned long long>(p.install_metadata));
+    if (p.inputs < 3 || p.outputs == 0) {
+      std::printf("FAIL: install probe K=%d did not compact >= 3 inputs\n",
+                  k);
+      return 1;
+    }
+    if (p.sst_cmds_per_output > 1.0 || p.install_metadata > 1) {
+      std::printf("FAIL: install probe K=%d is above one device write "
+                  "command per finished SST or one metadata write per "
+                  "install\n",
+                  k);
+      return 1;
+    }
   }
   std::printf(
       "OK: contents identical in all %zu cells and scheduled work "
