@@ -118,9 +118,8 @@ class CompactionJob {
   // Input disposal hook: decides only whether an input goes now. Returns
   // true if the install should delete it, false if it must outlive the
   // compaction (an open snapshot reads it); the store installs one that
-  // parks pinned inputs as zombies. Unset, every input is deleted. The
-  // install deletes all inputs that go with ONE SimpleFs::Delete call
-  // (one metadata page for the group).
+  // parks pinned inputs as zombies. Unset, every input is deleted (see
+  // DisposeInputs).
   using FileDeleter = std::function<bool(const FileMeta&)>;
   void set_file_deleter(FileDeleter deleter) {
     file_deleter_ = std::move(deleter);
