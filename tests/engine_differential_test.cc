@@ -30,6 +30,7 @@
 #include "sim/clock.h"
 #include "ssd/ssd_device.h"
 #include "test_support.h"
+#include "util/crc32.h"
 #include "util/random.h"
 
 namespace ptsb {
@@ -1503,6 +1504,145 @@ TEST(SubcompactionDifferentialTest, ParallelismNeverChangesVisibleState) {
   ASSERT_TRUE(i4->status().ok());
   ASSERT_TRUE(h1->store->Close().ok());
   ASSERT_TRUE(h4->store->Close().ok());
+}
+
+// ---- Golden background timing -------------------------------------------
+//
+// Background maintenance (LSM compaction, B+Tree paced checkpoints, alog
+// segment GC, the cached write-buffer flush) is timed on the engine's
+// background lanes. Restructuring how that work is dispatched must not
+// move a single nanosecond, so this test pins the outcome of one fixed
+// op stream per engine on a timed 4-channel device in three background
+// configurations: inline (background_io=0), one lane (K=1) and four
+// lanes (K=4). The pinned numbers are the final clock, the background
+// lanes' busy time, the device write-command count and a checksum of the
+// final contents.
+
+struct GoldenTiming {
+  int64_t clock_ns = 0;
+  int64_t background_ns = 0;
+  uint64_t write_commands = 0;
+  uint32_t checksum = 0;
+};
+
+GoldenTiming RunGoldenTrace(const EngineConfig& config, bool background_io,
+                            int parallelism) {
+  GoldenTiming out;
+  sim::SimClock clock;
+  ssd::SsdConfig cfg;
+  cfg.geometry.logical_bytes = 64ull << 20;
+  cfg.channels = 4;
+  ssd::SsdDevice ssd(cfg, &clock);
+  fs::SimpleFs fs(&ssd, fs::FsOptions{});
+  kv::EngineOptions options;
+  options.engine = config.engine;
+  options.fs = &fs;
+  options.clock = &clock;
+  options.params = config.params;
+  options.params["background_io"] = background_io ? "1" : "0";
+  options.params["compaction_parallelism"] = std::to_string(parallelism);
+  auto opened = kv::OpenStore(options);
+  EXPECT_TRUE(opened.ok()) << config.label << ": "
+                           << opened.status().ToString();
+  if (!opened.ok()) return out;
+  auto store = *std::move(opened);
+
+  Rng rng(0x901d7);
+  kv::WriteBatch batch;
+  std::shared_ptr<const kv::Snapshot> snap;
+  for (int round = 0; round < 300; round++) {
+    batch.Clear();
+    const size_t n = 1 + rng.Uniform(24);
+    for (size_t j = 0; j < n; j++) {
+      const std::string key = "k" + std::to_string(rng.Uniform(500));
+      if (rng.Bernoulli(0.85)) {
+        std::string value(rng.UniformRange(1, 400), '\0');
+        rng.FillBytes(value.data(), value.size());
+        batch.Put(key, value);
+      } else {
+        batch.Delete(key);
+      }
+    }
+    EXPECT_TRUE(store->Write(batch).ok()) << config.label;
+    if (round % 10 == 9) {
+      std::string value;
+      store->Get("k" + std::to_string(rng.Uniform(500)), &value).ok();
+    }
+    // A user flush and a snapshot held across a stretch of writes run
+    // the foreground maintenance paths (and pin files/pages/segments
+    // while background work keeps retiring them).
+    if (round == 100) {
+      EXPECT_TRUE(store->Flush().ok()) << config.label;
+    }
+    if (round == 150) {
+      auto got = store->GetSnapshot();
+      EXPECT_TRUE(got.ok()) << config.label;
+      if (got.ok()) snap = *std::move(got);
+    }
+    if (round == 200) snap.reset();
+  }
+  EXPECT_TRUE(store->SettleBackgroundWork().ok()) << config.label;
+  EXPECT_TRUE(store->Flush().ok()) << config.label;
+  auto it = store->NewIterator();
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    out.checksum = Crc32c(out.checksum, it->key().data(), it->key().size());
+    out.checksum =
+        Crc32c(out.checksum, it->value().data(), it->value().size());
+  }
+  EXPECT_TRUE(it->status().ok()) << config.label;
+  it.reset();
+  out.background_ns = store->GetStats().time_background_ns;
+  EXPECT_TRUE(store->Close().ok()) << config.label;
+  out.clock_ns = clock.NowNanos();
+  out.write_commands = ssd.time_breakdown().write_commands;
+  return out;
+}
+
+TEST(GoldenBackgroundTimingTest, PinnedAcrossDispatchRestructuring) {
+  EngineConfig cached_lsm{"cached/lsm", "cached", TinyLsmParams()};
+  cached_lsm.params["inner_engine"] = "lsm";
+  cached_lsm.params["write_buffer_bytes"] = std::to_string(16 << 10);
+  cached_lsm.params["read_cache_bytes"] = std::to_string(32 << 10);
+  const std::map<std::string, EngineConfig> engines = {
+      {"lsm", {"lsm", "lsm", TinyLsmParams()}},
+      {"btree", {"btree", "btree", TinyBTreeParams()}},
+      {"alog", {"alog", "alog", TinyAlogParams()}},
+      {"cached/lsm", cached_lsm},
+  };
+  struct Golden {
+    const char* engine;
+    bool background_io;
+    int parallelism;
+    GoldenTiming want;
+  };
+  // Recorded before the engines' background work moved onto one
+  // BackgroundPool path; every dispatch refactor must reproduce them.
+  const Golden goldens[] = {
+      {"lsm", false, 1, {68829042, 0, 388, 1074702879}},
+      {"lsm", true, 1, {56156208, 13618427, 388, 1074702879}},
+      {"lsm", true, 4, {59424911, 44387348, 460, 1074702879}},
+      {"btree", false, 1, {1864032518, 0, 3018, 1074702879}},
+      {"btree", true, 1, {1854630254, 9402264, 3018, 1074702879}},
+      {"btree", true, 4, {1854636046, 9402264, 3018, 1074702879}},
+      {"alog", false, 1, {213611694, 0, 384, 1074702879}},
+      {"alog", true, 1, {190040285, 150293270, 384, 1074702879}},
+      {"alog", true, 4, {87079682, 150293270, 384, 1074702879}},
+      {"cached/lsm", false, 1, {59399379, 0, 462, 1074702879}},
+      {"cached/lsm", true, 1, {53833140, 32075469, 462, 1074702879}},
+      {"cached/lsm", true, 4, {75001089, 56088985, 521, 1074702879}},
+  };
+  for (const Golden& g : goldens) {
+    const std::string label = std::string(g.engine) +
+                              " background_io=" +
+                              (g.background_io ? "1" : "0") +
+                              " K=" + std::to_string(g.parallelism);
+    const GoldenTiming got =
+        RunGoldenTrace(engines.at(g.engine), g.background_io, g.parallelism);
+    EXPECT_EQ(got.clock_ns, g.want.clock_ns) << label;
+    EXPECT_EQ(got.background_ns, g.want.background_ns) << label;
+    EXPECT_EQ(got.write_commands, g.want.write_commands) << label;
+    EXPECT_EQ(got.checksum, g.want.checksum) << label;
+  }
 }
 
 TEST(FaultInjectionTest, EnginesFailCleanlyWhenDeviceFull) {
