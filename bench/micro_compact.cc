@@ -33,8 +33,8 @@
 //     most one preemption quantum, and collapses the unsliced paced K=4
 //     tail (lane 3 folds onto the foreground's channel; the slice is
 //     what keeps commits responsive there),
-//   - K=1 is today's serial compactor, reproduced exactly: a repeat run
-//     is nanosecond-identical,
+//   - K=1 (the same pool path on one lane, one unsplit subrange) is
+//     reproducible exactly: a repeat run is nanosecond-identical,
 //   - the install probe (one L0 -> L1 compaction of four overlapping
 //     tables, at K=1 and K=4) costs at most one device write command per
 //     finished SST (Finish writes the staged table and its tail as one
@@ -394,7 +394,7 @@ int main(int argc, char** argv) {
     }
   }
   // 4. The headline target: K=4 on four channels drains the deferred
-  // debt >= 1.5x faster than the serial compactor on the same device.
+  // debt >= 1.5x faster than one lane on the same device.
   const double speedup = static_cast<double>(cells[kBaseline].settle_ns) /
                          static_cast<double>(cells[kTarget].settle_ns);
   if (speedup < 1.5) {
@@ -434,8 +434,8 @@ int main(int argc, char** argv) {
     std::printf("FAIL: sliced K=4 cell recorded no preemptions\n");
     return 1;
   }
-  // 7. K=1 is today's serial compactor, reproduced exactly: a repeat run
-  // is nanosecond-identical.
+  // 7. K=1 (one lane, one unsplit subrange) is reproducible exactly: a
+  // repeat run is nanosecond-identical.
   const CompactCell again = RunCell(flags, settings[kBaseline]);
   if (again.foreground_ns != cells[kBaseline].foreground_ns ||
       again.settled_ns != cells[kBaseline].settled_ns ||

@@ -12,6 +12,9 @@ namespace ptsb::alog {
 AlogStore::AlogStore(fs::SimpleFs* fs, const AlogOptions& options,
                      std::string dir)
     : fs_(fs), options_(options), dir_(std::move(dir)),
+      pool_(kv::BackgroundPool::ForEngine(
+          options.clock, options.background_io, options.background_queue,
+          options.compaction_parallelism)),
       write_group_(options.max_write_group_bytes) {}
 
 AlogStore::~AlogStore() {
@@ -334,46 +337,15 @@ Status AlogStore::WriteInternal(const kv::WriteBatch& batch,
   stats_.time_wal_ns += now() - t0;
 
   const int64_t t1 = now();
-  PTSB_RETURN_IF_ERROR(RunGc());
+  PTSB_RETURN_IF_ERROR(MaybeGc());
   stats_.time_compaction_ns += now() - t1;
   return Status::OK();
 }
 
-Status AlogStore::RunGc() {
-  if (!options_.background_io || options_.clock == nullptr) {
-    return MaybeGc();
-  }
-  if (options_.compaction_parallelism > 1) {
-    // Partitioned GC: MaybeGc's orchestration is CPU-only and stays on
-    // the foreground timeline; CollectSegment dispatches its I/O phases
-    // through the pool's lanes. Wrapping MaybeGc in one enclosing
-    // background span here would collapse the fan-out (nested lanes run
-    // synchronously), so the pool replaces the span entirely.
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<kv::BackgroundPool>(
-          options_.clock, options_.background_queue,
-          options_.compaction_parallelism);
-    }
-    return MaybeGc();
-  }
-  kv::BackgroundResult r = kv::RunBackgroundWork(
-      options_.clock, options_.background_queue, &background_horizon_ns_,
-      [&] { return MaybeGc(); });
-  stats_.time_background_ns += r.busy_ns;
-  return r.status;
-}
-
-void AlogStore::JoinBackgroundWork() {
-  if (options_.clock != nullptr) {
-    options_.clock->AdvanceTo(background_horizon_ns_);
-    if (pool_ != nullptr) pool_->Join();
-  }
-}
-
 Status AlogStore::SettleBackgroundWork() {
   PTSB_CHECK(!closed_);
-  const Status s = RunGc();
-  JoinBackgroundWork();  // settling means waiting the work out
+  const Status s = MaybeGc();
+  pool_.Join();  // settling means waiting the work out
   return s;
 }
 
@@ -560,81 +532,55 @@ Status AlogStore::CollectSegment(uint64_t id) {
     return a.loc.value_offset < b.loc.value_offset;
   });
 
+  // Read phase: the victim's live values are read on the pool's lanes —
+  // contiguous file-order chunks, one per lane, so a collection's reads
+  // overlap across SSD channels. The batch is then assembled in ref
+  // order, so contents, record framing and stats do not depend on the
+  // lane count.
+  std::vector<size_t> live;
+  for (size_t i = 0; i < refs.size(); i++) {
+    if (!refs[i].loc.tombstone) live.push_back(i);
+  }
+  std::vector<std::string> values(refs.size());
+  const int lanes = pool_.lanes();
+  const size_t per = (live.size() + static_cast<size_t>(lanes) - 1) /
+                     static_cast<size_t>(lanes);
+  for (int l = 0; l < lanes && per > 0; l++) {
+    const size_t begin = static_cast<size_t>(l) * per;
+    if (begin >= live.size()) break;
+    const size_t end = std::min(live.size(), begin + per);
+    kv::BackgroundResult r = pool_.Run(l, [&, begin, end]() -> Status {
+      for (size_t j = begin; j < end; j++) {
+        const Ref& ref = refs[live[j]];
+        std::string* out = &values[live[j]];
+        out->resize(ref.loc.value_bytes);
+        PTSB_ASSIGN_OR_RETURN(
+            const uint64_t got,
+            seg_it->second.file->ReadAt(ref.loc.value_offset,
+                                        ref.loc.value_bytes, out->data()));
+        if (got != ref.loc.value_bytes) {
+          return Status::Corruption("short GC value read");
+        }
+      }
+      return Status::OK();
+    });
+    stats_.time_background_ns += r.busy_ns;
+    PTSB_RETURN_IF_ERROR(r.status);
+  }
   kv::WriteBatch batch;
-  if (pool_ != nullptr) {
-    // Partitioned read phase: the victim's live values are read on the
-    // pool's lanes — contiguous file-order chunks, one per lane, so a
-    // collection's reads overlap across SSD channels. The batch is then
-    // assembled in the same ref order as the serial path, so contents,
-    // record framing and stats are identical.
-    std::vector<size_t> live;
-    for (size_t i = 0; i < refs.size(); i++) {
-      if (!refs[i].loc.tombstone) live.push_back(i);
-    }
-    std::vector<std::string> values(refs.size());
-    const int lanes = pool_->lanes();
-    const size_t per =
-        (live.size() + static_cast<size_t>(lanes) - 1) /
-        std::max<size_t>(1, static_cast<size_t>(lanes));
-    for (int l = 0; l < lanes && per > 0; l++) {
-      const size_t begin = static_cast<size_t>(l) * per;
-      if (begin >= live.size()) break;
-      const size_t end = std::min(live.size(), begin + per);
-      kv::BackgroundResult r = pool_->Run(l, [&, begin, end]() -> Status {
-        for (size_t j = begin; j < end; j++) {
-          const Ref& ref = refs[live[j]];
-          std::string* out = &values[live[j]];
-          out->resize(ref.loc.value_bytes);
-          PTSB_ASSIGN_OR_RETURN(
-              const uint64_t got,
-              seg_it->second.file->ReadAt(ref.loc.value_offset,
-                                          ref.loc.value_bytes, out->data()));
-          if (got != ref.loc.value_bytes) {
-            return Status::Corruption("short GC value read");
-          }
-        }
-        return Status::OK();
-      });
-      stats_.time_background_ns += r.busy_ns;
-      PTSB_RETURN_IF_ERROR(r.status);
-    }
-    for (size_t i = 0; i < refs.size(); i++) {
-      const Ref& r = refs[i];
-      if (r.loc.tombstone) {
-        if (oldest) {
-          ReleaseLocation(r.loc);
-          index_.erase(r.key);
-        } else {
-          batch.Delete(r.key);
-        }
-        continue;
+  for (size_t i = 0; i < refs.size(); i++) {
+    const Ref& r = refs[i];
+    if (r.loc.tombstone) {
+      if (oldest) {
+        ReleaseLocation(r.loc);
+        index_.erase(r.key);
+      } else {
+        batch.Delete(r.key);
       }
-      stats_.gc_bytes_read += r.loc.value_bytes;
-      batch.Put(r.key, values[i]);
+      continue;
     }
-  } else {
-    std::string value;
-    for (const Ref& r : refs) {
-      if (r.loc.tombstone) {
-        if (oldest) {
-          ReleaseLocation(r.loc);
-          index_.erase(r.key);
-        } else {
-          batch.Delete(r.key);
-        }
-        continue;
-      }
-      value.resize(r.loc.value_bytes);
-      PTSB_ASSIGN_OR_RETURN(
-          const uint64_t got,
-          seg_it->second.file->ReadAt(r.loc.value_offset, r.loc.value_bytes,
-                                      value.data()));
-      if (got != r.loc.value_bytes) {
-        return Status::Corruption("short GC value read");
-      }
-      stats_.gc_bytes_read += r.loc.value_bytes;
-      batch.Put(r.key, value);
-    }
+    stats_.gc_bytes_read += r.loc.value_bytes;
+    batch.Put(r.key, values[i]);
   }
 
   if (!batch.empty()) {
@@ -642,21 +588,16 @@ Status AlogStore::CollectSegment(uint64_t id) {
     // be durable first: a crash with the GC record still in the unsynced
     // tail would drop it whole on replay (torn crc) while the durable
     // originals are already gone with the victim's file.
-    auto apply = [&]() -> Status {
+    // The rewrite depends on every lane's reads; it runs on lane 0
+    // after a background-side barrier (the foreground does not wait).
+    pool_.Barrier();
+    kv::BackgroundResult r = pool_.Run(0, [&]() -> Status {
       PTSB_RETURN_IF_ERROR(ApplyBatchRecord(batch, /*gc=*/true));
       unsynced_bytes_ = 0;
       return segments_.at(active_id_).file->Sync();
-    };
-    if (pool_ != nullptr) {
-      // The rewrite depends on every lane's reads; it runs on lane 0
-      // after a background-side barrier (the foreground does not wait).
-      pool_->Barrier();
-      kv::BackgroundResult r = pool_->Run(0, apply);
-      stats_.time_background_ns += r.busy_ns;
-      PTSB_RETURN_IF_ERROR(r.status);
-    } else {
-      PTSB_RETURN_IF_ERROR(apply());
-    }
+    });
+    stats_.time_background_ns += r.busy_ns;
+    PTSB_RETURN_IF_ERROR(r.status);
   }
 
   const SegmentInfo& collected = segments_.at(id);
@@ -672,15 +613,13 @@ Status AlogStore::CollectSegment(uint64_t id) {
     z.file_bytes = collected.file->size();
     stats_.snapshot_pinned_bytes += z.file_bytes;
     zombie_segments_.emplace(id, z);
-  } else if (pool_ != nullptr) {
-    // Partitioned mode: the deletion orders after the rewrite on lane 0
-    // (file metadata work stays on the background timeline).
-    kv::BackgroundResult r = pool_->Run(
+  } else {
+    // The deletion orders after the rewrite on lane 0 (file metadata
+    // work stays on the background timeline).
+    kv::BackgroundResult r = pool_.Run(
         0, [&] { return fs_->Delete(SegmentFileName(dir_, id)); });
     stats_.time_background_ns += r.busy_ns;
     PTSB_RETURN_IF_ERROR(r.status);
-  } else {
-    PTSB_RETURN_IF_ERROR(fs_->Delete(SegmentFileName(dir_, id)));
   }
   segments_.erase(id);
   return Status::OK();
@@ -1018,7 +957,7 @@ std::unique_ptr<kv::KVStore::Iterator> AlogStore::NewIterator(
 
 Status AlogStore::Flush() {
   PTSB_CHECK(!closed_);
-  JoinBackgroundWork();  // durability waits out in-flight GC rewrites
+  pool_.Join();  // durability waits out in-flight GC rewrites
   if (active_id_ != 0) {
     PTSB_RETURN_IF_ERROR(segments_.at(active_id_).file->Sync());
   }
@@ -1027,7 +966,7 @@ Status AlogStore::Flush() {
 
 Status AlogStore::Close() {
   if (closed_) return Status::OK();
-  JoinBackgroundWork();
+  pool_.Join();
   if (active_id_ != 0) {
     SegmentInfo& seg = segments_.at(active_id_);
     PTSB_RETURN_IF_ERROR(seg.file->Sync());

@@ -177,13 +177,11 @@ class AlogStore : public kv::KVStore {
   // snapshot pins it, in which case the file lingers as a zombie until
   // the last pin drops.
   Status CollectSegment(uint64_t id);
+  // Runs the due collections. Their orchestration is CPU-only and stays
+  // on the foreground timeline; CollectSegment dispatches its I/O phases
+  // through pool_'s lanes, so with background_io on the foreground clock
+  // does not advance.
   Status MaybeGc();
-  // MaybeGc on the background lane when background_io is on (and not
-  // inside an enclosing lane); the foreground clock does not advance.
-  Status RunGc();
-  // AdvanceTo the background lane's completion horizon: the foreground
-  // explicitly waiting out in-flight GC (Flush/Close/Settle).
-  void JoinBackgroundWork();
 
   void ChargeCpu(int64_t ns) const;
 
@@ -202,15 +200,11 @@ class AlogStore : public kv::KVStore {
   uint64_t sealed_live_bytes_ = 0;
   bool pressure_check_due_ = true;  // re-check fs headroom at next GC pass
   bool replaying_ = false;
-  // Completion time of the last background-lane GC span (background_io);
-  // foreground waits join it via JoinBackgroundWork().
-  int64_t background_horizon_ns_ = 0;
-  // Lanes for partitioned GC (compaction_parallelism > 1 with
-  // background_io and a clock): a collection's per-value reads fan out
-  // across them. Created lazily; null in single-lane mode. When set,
-  // RunGc dispatches through the pool instead of one enclosing
-  // background span (nested lanes would collapse the fan-out).
-  std::unique_ptr<kv::BackgroundPool> pool_;
+  // Lanes for segment GC (queue background_queue + i): timed only with
+  // background_io, compaction_parallelism lanes only then. A
+  // collection's per-value reads fan out across them; foreground waits
+  // (Flush/Close/Settle) join them.
+  kv::BackgroundPool pool_;
 
   // Bumped by every Write (appends retarget the index; GC deletes
   // segments). Debug builds compare it against the value captured at

@@ -59,8 +59,9 @@ struct AlogOptions {
   // background submission lanes (queue background_queue + i) via a
   // kv::BackgroundPool, so the reads overlap across SSD channels. The
   // rewrite record, sync and victim deletion stay on lane 0 (ordering
-  // is unchanged). 1 = today's single-lane behavior. The name matches
-  // the LSM engine's knob so one driver param reaches every engine.
+  // is unchanged). 1 = a one-lane pool: the same phases, all on one
+  // lane. The name matches the LSM engine's knob so one driver param
+  // reaches every engine.
   int compaction_parallelism = 1;
 
   // Optional virtual clock for CPU accounting (device time is charged by

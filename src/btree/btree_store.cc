@@ -62,6 +62,9 @@ BTreeStore::BTreeStore(fs::SimpleFs* fs, const BTreeOptions& options,
     : fs_(fs),
       options_(options),
       file_name_(std::move(file_name)),
+      pool_(kv::BackgroundPool::ForEngine(
+          options.clock, options.background_io, options.background_queue,
+          options.compaction_parallelism)),
       write_group_(options.max_write_group_bytes) {}
 
 BTreeStore::~BTreeStore() {
@@ -230,19 +233,16 @@ Status BTreeStore::WriteNode(Node* node, std::vector<PendingWrite>* deferred) {
   PTSB_ASSIGN_OR_RETURN(BlockAddr addr, blocks_->Allocate(data.size()));
   data.resize(addr.bytes, 0);
   if (deferred != nullptr) {
-    // Partitioned checkpoint: every allocation/free/parent-pointer step
-    // stays in post-order here; only the device write is postponed so
-    // the batch can fan out across lanes. Safe to reorder among
-    // themselves: each targets its own freshly allocated block, and the
-    // header that makes any of them reachable is written after all of
-    // them complete.
+    // Checkpoint: every allocation/free/parent-pointer step stays in
+    // post-order here; only the device write is postponed so the batch
+    // can fan out across lanes. Safe to reorder among themselves: each
+    // targets its own freshly allocated block, and the header that makes
+    // any of them reachable is written after all of them complete.
     deferred->push_back({addr.offset, std::move(data)});
-  } else {
-    PTSB_RETURN_IF_ERROR(file_->WriteAt(addr.offset, data));
-  }
-  if (in_checkpoint_) {
     stats_.checkpoint_bytes_written += addr.bytes;
   } else {
+    // Eviction writeback of a dirty leaf.
+    PTSB_RETURN_IF_ERROR(file_->WriteAt(addr.offset, data));
     stats_.page_write_bytes += addr.bytes;
   }
   blocks_->Free(node->addr);
@@ -283,11 +283,38 @@ Status BTreeStore::WriteHeader() {
   return file_->Sync();
 }
 
-Status BTreeStore::Checkpoint() {
-  in_checkpoint_ = true;
-  Status s = [&]() -> Status {
-    PTSB_RETURN_IF_ERROR(WriteDirtySubtree(root_.get()));
+Status BTreeStore::Checkpoint(kv::BackgroundPool* pool) {
+  // Phase 1 (CPU only): serialize + allocate every dirty node in
+  // post-order, deferring the device writes. Allocation order,
+  // parent-pointer updates, frees and byte accounting all happen here.
+  std::vector<PendingWrite> writes;
+  PTSB_RETURN_IF_ERROR(WriteDirtySubtree(root_.get(), &writes));
 
+  // Phase 2: fan the block writes across the pool's lanes — contiguous
+  // chunks so each lane still issues ascending offsets.
+  const int lanes = pool->lanes();
+  const size_t per = (writes.size() + static_cast<size_t>(lanes) - 1) /
+                     static_cast<size_t>(lanes);
+  for (int l = 0; l < lanes && per > 0; l++) {
+    const size_t begin = static_cast<size_t>(l) * per;
+    if (begin >= writes.size()) break;
+    const size_t end = std::min(writes.size(), begin + per);
+    kv::BackgroundResult r = pool->Run(l, [&, begin, end]() -> Status {
+      for (size_t j = begin; j < end; j++) {
+        PTSB_RETURN_IF_ERROR(file_->WriteAt(writes[j].offset, writes[j].data));
+      }
+      return Status::OK();
+    });
+    stats_.time_background_ns += r.busy_ns;
+    PTSB_RETURN_IF_ERROR(r.status);
+  }
+
+  // Phase 3 (lane 0, ordered after every block write): free-list blob,
+  // header, post-header free bookkeeping. The header that publishes the
+  // new tree is the last write, and frees only become reusable once it
+  // is durable.
+  pool->Barrier();
+  kv::BackgroundResult r = pool->Run(0, [&]() -> Status {
     // Persist the post-commit free list. The blob is allocated from the
     // currently-available list only (never from blocks the previous
     // checkpoint still references), then the old blob becomes free.
@@ -317,108 +344,16 @@ Status BTreeStore::Checkpoint() {
     }
     blocks_->FreeImmediately(old_blob);
     return Status::OK();
-  }();
-  in_checkpoint_ = false;
-  PTSB_RETURN_IF_ERROR(s);
+  });
+  stats_.time_background_ns += r.busy_ns;
+  PTSB_RETURN_IF_ERROR(r.status);
   checkpoint_count_++;
   bytes_since_checkpoint_ = 0;
 
-  // Rotate the journal: everything it held is now in the checkpoint.
+  // Rotate the journal, on lane 0 behind the header: everything it held
+  // is now in the checkpoint.
   if (journal_ != nullptr) {
-    Status rotated = [&]() -> Status {
-      PTSB_RETURN_IF_ERROR(journal_->Sync());
-      const std::string jname = file_name_ + ".journal";
-      journal_.reset();
-      PTSB_RETURN_IF_ERROR(fs_->Delete(jname));
-      PTSB_ASSIGN_OR_RETURN(journal_file_, fs_->Create(jname));
-      journal_ = std::make_unique<JournalWriter>(
-          journal_file_, options_.journal_sync_every_bytes);
-      return Status::OK();
-    }();
-    if (!rotated.ok()) {
-      // Everything up to here IS durable (the checkpoint header synced
-      // above), but with the rotation half-done there is no journal to
-      // give further commits a durable record — acknowledging them would
-      // silently drop them at the next crash. Refuse writes until a
-      // reopen rebuilds the journal (see WriteInternal).
-      journal_.reset();
-      journal_lost_ = true;
-      return rotated;
-    }
-  }
-  return Status::OK();
-}
-
-Status BTreeStore::CheckpointParallel() {
-  PTSB_CHECK(pool_ != nullptr);
-  in_checkpoint_ = true;
-  Status s = [&]() -> Status {
-    // Phase 1 (CPU only): serialize + allocate every dirty node in the
-    // usual post-order, deferring the device writes. Allocation order,
-    // parent-pointer updates, frees and byte accounting are identical
-    // to the serial path.
-    std::vector<PendingWrite> writes;
-    PTSB_RETURN_IF_ERROR(WriteDirtySubtree(root_.get(), &writes));
-
-    // Phase 2: fan the block writes across the pool's lanes —
-    // contiguous chunks so each lane still issues ascending offsets.
-    const int lanes = pool_->lanes();
-    const size_t per = (writes.size() + static_cast<size_t>(lanes) - 1) /
-                       static_cast<size_t>(lanes);
-    for (int l = 0; l < lanes && per > 0; l++) {
-      const size_t begin = static_cast<size_t>(l) * per;
-      if (begin >= writes.size()) break;
-      const size_t end = std::min(writes.size(), begin + per);
-      kv::BackgroundResult r = pool_->Run(l, [&, begin, end]() -> Status {
-        for (size_t j = begin; j < end; j++) {
-          PTSB_RETURN_IF_ERROR(
-              file_->WriteAt(writes[j].offset, writes[j].data));
-        }
-        return Status::OK();
-      });
-      stats_.time_background_ns += r.busy_ns;
-      PTSB_RETURN_IF_ERROR(r.status);
-    }
-
-    // Phase 3 (lane 0, ordered after every block write): free-list
-    // blob, header, post-header free bookkeeping — the crash-safety
-    // order is unchanged: the header that publishes the new tree is the
-    // last write, and frees only become reusable once it is durable.
-    pool_->Barrier();
-    kv::BackgroundResult r = pool_->Run(0, [&]() -> Status {
-      const BlockAddr old_blob = freelist_addr_;
-      std::string encoded = blocks_->EncodeMergedFreeList(old_blob);
-      PTSB_ASSIGN_OR_RETURN(BlockAddr blob,
-                            blocks_->Allocate(encoded.size() + 64));
-      encoded = blocks_->EncodeMergedFreeList(old_blob);
-      PTSB_CHECK_LE(encoded.size(), blob.bytes);
-      encoded.resize(blob.bytes, 0);
-      PTSB_RETURN_IF_ERROR(file_->WriteAt(blob.offset, encoded));
-      stats_.checkpoint_bytes_written += blob.bytes;
-      freelist_addr_ = blob;
-
-      PTSB_RETURN_IF_ERROR(WriteHeader());
-
-      if (snapshot_pins_.empty()) {
-        blocks_->MergePendingFrees();
-      } else {
-        blocks_->QuarantinePendingFrees(checkpoint_gen_);
-      }
-      blocks_->FreeImmediately(old_blob);
-      return Status::OK();
-    });
-    stats_.time_background_ns += r.busy_ns;
-    return r.status;
-  }();
-  in_checkpoint_ = false;
-  PTSB_RETURN_IF_ERROR(s);
-  checkpoint_count_++;
-  bytes_since_checkpoint_ = 0;
-
-  // Journal rotation, on lane 0 behind the header (same order as the
-  // serial path; see Checkpoint for the journal_lost_ contract).
-  if (journal_ != nullptr) {
-    kv::BackgroundResult r = pool_->Run(0, [&]() -> Status {
+    r = pool->Run(0, [&]() -> Status {
       PTSB_RETURN_IF_ERROR(journal_->Sync());
       const std::string jname = file_name_ + ".journal";
       journal_.reset();
@@ -430,12 +365,22 @@ Status BTreeStore::CheckpointParallel() {
     });
     stats_.time_background_ns += r.busy_ns;
     if (!r.status.ok()) {
+      // Everything up to here IS durable (the checkpoint header synced
+      // above), but with the rotation half-done there is no journal to
+      // give further commits a durable record — acknowledging them would
+      // silently drop them at the next crash. Refuse writes until a
+      // reopen rebuilds the journal (see WriteInternal).
       journal_.reset();
       journal_lost_ = true;
       return r.status;
     }
   }
   return Status::OK();
+}
+
+Status BTreeStore::ForegroundCheckpoint() {
+  kv::BackgroundPool foreground(nullptr, options_.background_queue, 1);
+  return Checkpoint(&foreground);
 }
 
 Status BTreeStore::SplitIfNeeded(Node* node) {
@@ -677,39 +622,12 @@ Status BTreeStore::WriteInternal(const kv::WriteBatch& batch,
   bytes_since_checkpoint_ += batch.ByteSize();
   if (!replaying_ &&
       bytes_since_checkpoint_ >= options_.checkpoint_every_bytes) {
-    // Paced (not user-requested) checkpoints move to the background lane
-    // when background_io is on: the commit returns without absorbing the
+    // Paced (not user-requested) checkpoints run on the pool: with
+    // background_io on, the commit returns without absorbing the
     // checkpoint's device time.
-    if (options_.background_io && options_.clock != nullptr) {
-      if (options_.compaction_parallelism > 1) {
-        // Partitioned checkpoint: the phases dispatch through the
-        // pool's lanes themselves — an enclosing background span here
-        // would collapse the fan-out (nested lanes run synchronously).
-        if (pool_ == nullptr) {
-          pool_ = std::make_unique<kv::BackgroundPool>(
-              options_.clock, options_.background_queue,
-              options_.compaction_parallelism);
-        }
-        PTSB_RETURN_IF_ERROR(CheckpointParallel());
-      } else {
-        kv::BackgroundResult r = kv::RunBackgroundWork(
-            options_.clock, options_.background_queue,
-            &background_horizon_ns_, [&] { return Checkpoint(); });
-        stats_.time_background_ns += r.busy_ns;
-        PTSB_RETURN_IF_ERROR(r.status);
-      }
-    } else {
-      PTSB_RETURN_IF_ERROR(Checkpoint());
-    }
+    PTSB_RETURN_IF_ERROR(Checkpoint(&pool_));
   }
   return EvictIfNeeded();
-}
-
-void BTreeStore::JoinBackgroundWork() {
-  if (options_.clock != nullptr) {
-    options_.clock->AdvanceTo(background_horizon_ns_);
-    if (pool_ != nullptr) pool_->Join();
-  }
 }
 
 Status BTreeStore::Get(std::string_view key, std::string* value) {
@@ -926,8 +844,8 @@ StatusOr<std::shared_ptr<const kv::Snapshot>> BTreeStore::GetSnapshot() {
         // then pin its generation. Checkpoint writebacks move leaves
         // around, so live cursors are invalidated like any write.
         write_epoch_++;
-        JoinBackgroundWork();
-        PTSB_RETURN_IF_ERROR(Checkpoint());
+        pool_.Join();
+        PTSB_RETURN_IF_ERROR(ForegroundCheckpoint());
         auto snap = std::make_shared<SnapshotImpl>(this);
         snap->gen_ = checkpoint_gen_;
         snap->root_ = root_addr_;
@@ -1203,20 +1121,20 @@ Status BTreeStore::Flush() {
   write_epoch_++;  // checkpoint writebacks/evictions move leaves around
   // The user asked for durability: wait out any in-flight background
   // checkpoint, then run this one on the foreground.
-  JoinBackgroundWork();
-  return Checkpoint();
+  pool_.Join();
+  return ForegroundCheckpoint();
 }
 
 Status BTreeStore::SettleBackgroundWork() {
   PTSB_CHECK(!closed_);
-  JoinBackgroundWork();
+  pool_.Join();
   return Status::OK();
 }
 
 Status BTreeStore::Close() {
   if (closed_) return Status::OK();
-  JoinBackgroundWork();
-  PTSB_RETURN_IF_ERROR(Checkpoint());
+  pool_.Join();
+  PTSB_RETURN_IF_ERROR(ForegroundCheckpoint());
   closed_ = true;
   return Status::OK();
 }

@@ -141,24 +141,23 @@ class BTreeStore : public kv::KVStore {
     std::string data;
   };
   // Writes a node to a fresh block, frees the old one, updates the parent
-  // address cell (or the pending root address). With `deferred` set, all
-  // of that bookkeeping still happens in order but the device write is
-  // appended to the list instead of issued.
+  // address cell (or the pending root address). With `deferred` set (a
+  // checkpoint), all of that bookkeeping still happens in order but the
+  // device write is appended to the list instead of issued; without it
+  // (an eviction writeback), the write is issued now.
   Status WriteNode(Node* node, std::vector<PendingWrite>* deferred = nullptr);
-  // Post-order: writes every dirty node in the loaded subtree.
-  Status WriteDirtySubtree(Node* node,
-                           std::vector<PendingWrite>* deferred = nullptr);
-  Status Checkpoint();
-  // Partitioned checkpoint (compaction_parallelism > 1 with
-  // background_io and a clock): collects the dirty nodes' block writes,
-  // fans them across the pool's lanes, then runs the free-list blob,
-  // header and journal rotation on lane 0 behind a background-side
-  // barrier — same crash-safety order (header last, frees after), same
-  // bytes, overlapped device time.
-  Status CheckpointParallel();
-  // AdvanceTo the background lane's completion horizon (background_io):
-  // the foreground explicitly waiting out an in-flight checkpoint.
-  void JoinBackgroundWork();
+  // Post-order: defers the writes of every dirty node in the loaded
+  // subtree.
+  Status WriteDirtySubtree(Node* node, std::vector<PendingWrite>* deferred);
+  // Checkpoint on `pool`: collects the dirty nodes' block writes, fans
+  // them across the pool's lanes, then runs the free-list blob, header
+  // and journal rotation on lane 0 behind a background-side barrier —
+  // header last, frees after it. Paced checkpoints pass pool_; the
+  // user-facing ones (Flush, GetSnapshot, Close) run through
+  // ForegroundCheckpoint.
+  Status Checkpoint(kv::BackgroundPool* pool);
+  // Checkpoint on an untimed one-lane pool: on the foreground timeline.
+  Status ForegroundCheckpoint();
   Status WriteHeader();
 
   // Leaf cache management.
@@ -186,12 +185,9 @@ class BTreeStore : public kv::KVStore {
   uint64_t checkpoint_gen_ = 0;
   uint64_t checkpoint_count_ = 0;
   uint64_t bytes_since_checkpoint_ = 0;
-  // Completion time of the last background-lane checkpoint
-  // (background_io); foreground waits join it via JoinBackgroundWork().
-  int64_t background_horizon_ns_ = 0;
-  // Lanes for partitioned checkpoints; created lazily by the paced
-  // checkpoint site, null in single-lane mode.
-  std::unique_ptr<kv::BackgroundPool> pool_;
+  // Lanes for paced checkpoints (queue background_queue + i): timed
+  // only with background_io, compaction_parallelism lanes only then.
+  kv::BackgroundPool pool_;
 
   std::list<Node*> lru_;  // front = least recently used
   uint64_t cache_leaf_bytes_ = 0;
@@ -214,7 +210,6 @@ class BTreeStore : public kv::KVStore {
   // Cross-thread group commit queue; also provides the commit-exclusion
   // lock the read paths (and const stats snapshots) run under.
   mutable kv::WriteGroup write_group_;
-  bool in_checkpoint_ = false;
   bool closed_ = false;
 };
 

@@ -66,7 +66,8 @@ struct BTreeOptions {
   // background submission lanes (queue background_queue + i) via a
   // kv::BackgroundPool, so the writes overlap across SSD channels. The
   // free-list blob, header and journal rotation stay ordered on lane 0
-  // (crash-safety order unchanged). 1 = today's single-lane behavior.
+  // (crash-safety order unchanged). 1 = a one-lane pool: the same phases,
+  // all on one lane.
   // The name matches the LSM engine's knob so one driver param reaches
   // every engine.
   int compaction_parallelism = 1;

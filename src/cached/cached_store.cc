@@ -17,6 +17,8 @@ CachedStore::CachedStore(const CachedOptions& options, fs::SimpleFs* fs,
                          std::unique_ptr<ReadCache> cache)
     : options_(options), fs_(fs), root_(std::move(root)),
       inner_(std::move(inner)), cache_(std::move(cache)),
+      pool_(kv::BackgroundPool::ForEngine(options.clock, options.background_io,
+                                          options.background_queue, 1)),
       write_group_(options.max_write_group_bytes) {}
 
 CachedStore::~CachedStore() {
@@ -345,9 +347,8 @@ Status CachedStore::MaybeFlush() {
       options_.flush_watermark *
       static_cast<double>(options_.write_buffer_bytes));
   if (options_.background_io && options_.clock != nullptr) {
-    const kv::BackgroundResult r = kv::RunBackgroundWork(
-        options_.clock, options_.background_queue, &background_horizon_ns_,
-        [this, target] { return FlushBuffer(target); });
+    const kv::BackgroundResult r =
+        pool_.Run(0, [this, target] { return FlushBuffer(target); });
     stats_.time_background_ns += r.busy_ns;
     return r.status;
   }
@@ -448,12 +449,6 @@ Status CachedStore::DeleteLogSegments(uint64_t keep_from_id) {
     PTSB_RETURN_IF_ERROR(fs_->Delete(name));
   }
   return Status::OK();
-}
-
-void CachedStore::JoinBackgroundWork() {
-  if (options_.clock != nullptr) {
-    options_.clock->AdvanceTo(background_horizon_ns_);
-  }
 }
 
 Status CachedStore::Get(std::string_view key, std::string* value) {
@@ -879,7 +874,7 @@ std::unique_ptr<kv::KVStore::Iterator> CachedStore::NewIterator(
 
 Status CachedStore::Flush() {
   PTSB_CHECK(!closed_);
-  JoinBackgroundWork();
+  pool_.Join();
   const int64_t t0 = NowNs();
   const Status drained = FlushBuffer(0);
   stats_.time_flush_ns += NowNs() - t0;
@@ -898,13 +893,13 @@ Status CachedStore::SettleBackgroundWork() {
   // Joins pending background flush time; the buffer itself stays resident
   // (it is steady-state, not debt — draining it here would make settling
   // non-idempotent).
-  JoinBackgroundWork();
+  pool_.Join();
   return inner_->SettleBackgroundWork();
 }
 
 Status CachedStore::Close() {
   if (closed_) return Status::OK();
-  JoinBackgroundWork();
+  pool_.Join();
   Status persist = FlushBuffer(0);
   if (persist.ok()) persist = inner_->Flush();
   if (persist.ok()) {

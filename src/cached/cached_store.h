@@ -21,6 +21,7 @@
 #include "cached/options.h"
 #include "cached/read_cache.h"
 #include "fs/filesystem.h"
+#include "kv/background_pool.h"
 #include "kv/kvstore.h"
 #include "kv/registry.h"
 #include "kv/write_group.h"
@@ -165,7 +166,6 @@ class CachedStore : public kv::KVStore {
   Status MaybeCheckpointLog();
   // Deletes every log segment with id < keep_from_id.
   Status DeleteLogSegments(uint64_t keep_from_id);
-  void JoinBackgroundWork();
 
   // Snapshot Get's body, run under the group's commit-exclusion lock.
   Status SnapshotGetInternal(const SnapshotImpl& snap, std::string_view key,
@@ -199,7 +199,9 @@ class CachedStore : public kv::KVStore {
   bool replaying_ = false;
   bool closed_ = false;
   uint64_t write_epoch_ = 0;  // bumped by every Write; guards iterators
-  int64_t background_horizon_ns_ = 0;
+  // The write-buffer flush's background lane (one lane; timed only with
+  // background_io). Foreground waits (Flush/Settle/Close) join it.
+  kv::BackgroundPool pool_;
 
   mutable kv::KvStoreStats stats_;
   // Cross-thread group commit queue; also provides the commit-exclusion

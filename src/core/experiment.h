@@ -123,7 +123,7 @@ struct ExperimentConfig {
   // key subranges (and fans alog GC value reads / B+Tree checkpoint
   // block writes out the same way), each on its own background
   // submission lane, so background I/O overlaps across SSD channels.
-  // Needs background_io; 1 keeps today's single-lane behavior.
+  // Needs background_io; 1 runs the same path on one lane.
   int compaction_parallelism = 1;
   // Inter-class QoS scheduling in the simulated SSD (threads through to
   // SsdConfig; see docs/SIMULATION.md "Inter-class scheduling"). All off

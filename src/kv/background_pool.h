@@ -1,23 +1,27 @@
-// A small pool of background submission lanes: the multi-lane
-// generalization of kv::RunBackgroundWork. One engine owns one pool;
-// lane i submits on queue `base_queue + i`, so the simulated SSD maps
-// concurrent background work to distinct flash channels
-// ((base_queue + i) % channels) and overlapped spans cost max, not sum,
-// of their device time — partitioned subcompactions, fanned-out GC
-// value reads and checkpoint block writes all ride on this.
+// The one way engines run background maintenance (LSM compaction,
+// B+Tree paced checkpoints, alog segment GC, the cached write-buffer
+// flush): a small pool of background submission lanes. Each engine owns
+// one pool, built at Open. Lane i submits on queue `base_queue + i`, so
+// the simulated SSD maps concurrent background work to distinct flash
+// channels ((base_queue + i) % channels) and overlapped spans cost max,
+// not sum, of their device time. Serial background work is simply the
+// one-lane case of the same path.
 //
-// Like RunBackgroundWork, each lane is serialized behind its own
-// previous work via a per-lane horizon; the foreground clock does not
-// advance while work runs. Barrier() orders later background work
-// behind everything submitted so far WITHOUT advancing the foreground
-// (a background-side dependency: install-after-all-subranges,
+// Each lane is serialized behind its own previous work via a per-lane
+// horizon, like one compaction thread; the foreground clock does not
+// advance while work runs, so user commit latency does not absorb the
+// maintenance I/O. Barrier() orders later background work behind
+// everything submitted so far WITHOUT advancing the foreground (a
+// background-side dependency: install-after-all-subranges,
 // delete-victim-after-all-reads). Join() advances the foreground to the
-// pool's completion — the points where the user genuinely waits.
+// pool's completion — the points where the user genuinely waits: write
+// stalls, Flush/Close and SettleBackgroundWork.
 //
-// A pool with one lane is exactly RunBackgroundWork with an owned
-// horizon. With no clock — or on a thread already inside a submission
-// lane, where a nested fork is impossible — Run degrades to running the
-// work synchronously on the current timeline.
+// With no clock — the engine runs background_io off, or a foreground
+// caller passes an untimed pool — or on a thread already inside a
+// submission lane (e.g. a WriteAsync commit), where a nested fork is
+// impossible, Run executes the work synchronously on the current
+// timeline and busy_ns stays 0: nothing moved off the foreground.
 #ifndef PTSB_KV_BACKGROUND_POOL_H_
 #define PTSB_KV_BACKGROUND_POOL_H_
 
@@ -25,7 +29,6 @@
 #include <functional>
 #include <vector>
 
-#include "kv/kvstore.h"
 #include "util/status.h"
 
 namespace ptsb::sim {
@@ -34,10 +37,23 @@ class SimClock;
 
 namespace ptsb::kv {
 
+// Outcome of one span of background maintenance work.
+struct BackgroundResult {
+  Status status;
+  int64_t busy_ns = 0;  // virtual time the background lane spent on it
+};
+
 class BackgroundPool {
  public:
-  // `lanes` must be >= 1. The pool does not own the clock.
+  // `lanes` must be >= 1. The pool does not own the clock; a null clock
+  // makes every Run synchronous.
   BackgroundPool(sim::SimClock* clock, uint32_t base_queue, int lanes);
+
+  // The pool an engine builds at Open from its options: timed only with
+  // background_io and a clock, and only then `parallelism` lanes (an
+  // untimed pool has no overlap to win, so it stays one lane).
+  static BackgroundPool ForEngine(sim::SimClock* clock, bool background_io,
+                                  uint32_t base_queue, int parallelism);
 
   int lanes() const { return static_cast<int>(horizons_.size()); }
 

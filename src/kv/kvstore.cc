@@ -72,27 +72,6 @@ ReadHandle AsyncRead(sim::SimClock* clock, uint32_t queue,
   return ReadHandle(std::move(r.status), r.complete_ns, clock);
 }
 
-BackgroundResult RunBackgroundWork(sim::SimClock* clock, uint32_t queue,
-                                   int64_t* horizon_ns,
-                                   const std::function<Status()>& work) {
-  BackgroundResult r;
-  if (clock == nullptr ||
-      !clock->BeginAsync(queue, sim::IoClass::kBackground)) {
-    // Untimed, or inside an enclosing lane (e.g. a WriteAsync commit):
-    // the work runs on the current timeline, nothing moves off it.
-    r.status = work();
-    return r;
-  }
-  // One background worker per engine: new work starts no earlier than
-  // the previous background span finished.
-  clock->AdvanceTo(*horizon_ns);
-  const int64_t t0 = clock->NowNanos();
-  r.status = work();
-  *horizon_ns = clock->EndAsync();
-  r.busy_ns = *horizon_ns - t0;
-  return r;
-}
-
 namespace {
 
 class FailedIteratorImpl : public KVStore::Iterator {

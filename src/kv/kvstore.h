@@ -303,27 +303,6 @@ class ReadHandle {
 ReadHandle AsyncRead(sim::SimClock* clock, uint32_t queue,
                      const std::function<Status()>& read);
 
-// Outcome of one span of background maintenance work (RunBackgroundWork).
-struct BackgroundResult {
-  Status status;
-  int64_t busy_ns = 0;  // virtual time the background lane spent on it
-};
-
-// Runs `work` on the engine's background submission lane: a lane on
-// `queue` tagged sim::IoClass::kBackground, serialized behind the
-// engine's previous background work via `*horizon_ns` (one background
-// worker per engine, like a compaction thread) — the foreground clock
-// does not advance, so user commit latency no longer absorbs the
-// maintenance I/O. `*horizon_ns` is updated to the work's completion
-// time; the engine must join it back into the clock (AdvanceTo) at the
-// points where the user genuinely waits: write stalls, Flush/Close, and
-// SettleBackgroundWork. With no clock — or inside an enclosing lane,
-// where a nested fork is impossible — the work simply runs on the
-// current timeline (busy_ns stays 0: nothing moved off the foreground).
-BackgroundResult RunBackgroundWork(sim::SimClock* clock, uint32_t queue,
-                                   int64_t* horizon_ns,
-                                   const std::function<Status()>& work);
-
 // A consistent, read-only view of a store as of one commit sequence
 // number. Obtained via KVStore::GetSnapshot() (which returns a
 // shared_ptr whose deleter releases the engine-side pins) and consumed

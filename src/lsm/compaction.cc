@@ -171,43 +171,13 @@ Status CompactionJob::SeekInputToBegin(Input* in) {
   return Status::OK();
 }
 
-Status CompactionJob::Prepare() {
+Status CompactionJob::PrepareWithReaders(const InputReader& reader) {
   PTSB_CHECK(!prepared_);
   prepared_ = true;
-  auto open_input = [&](const FileMeta& meta) -> Status {
-    Input in;
-    in.meta = meta;
-    PTSB_ASSIGN_OR_RETURN(fs::File * file,
-                          fs_->Open(VersionSet::SstFileName(dir_, meta.number)));
-    PTSB_ASSIGN_OR_RETURN(in.owned_reader, SstReader::Open(file));
-    in.reader = in.owned_reader.get();
-    in.iter = std::make_unique<SstReader::Iterator>(
-        in.reader, CompactionReadahead(options_));
-    if (!end_key_.empty()) {
-      // Don't prefetch past this subrange: cap the span at the block
-      // holding end_key_ (blocks are sorted by last key, so the first
-      // block whose last key covers it is the last one needed).
-      in.iter->LimitSpanTo(in.reader->FindBlock(end_key_) + 1);
-    }
-    PTSB_RETURN_IF_ERROR(SeekInputToBegin(&in));
-    inputs_.push_back(std::move(in));
-    return Status::OK();
-  };
-  for (const FileMeta& f : pick_.inputs0) PTSB_RETURN_IF_ERROR(open_input(f));
-  for (const FileMeta& f : pick_.inputs1) PTSB_RETURN_IF_ERROR(open_input(f));
-  return Status::OK();
-}
-
-Status CompactionJob::PrepareWithReaders(
-    const std::vector<SstReader*>& readers) {
-  PTSB_CHECK(!prepared_);
-  prepared_ = true;
-  PTSB_CHECK_EQ(readers.size(), pick_.inputs0.size() + pick_.inputs1.size());
-  size_t r = 0;
   auto borrow_input = [&](const FileMeta& meta) -> Status {
     Input in;
     in.meta = meta;
-    in.reader = readers[r++];
+    PTSB_ASSIGN_OR_RETURN(in.reader, reader(inputs_.size()));
     in.iter = std::make_unique<SstReader::Iterator>(
         in.reader, CompactionReadahead(options_));
     if (!end_key_.empty()) {
@@ -287,7 +257,6 @@ StatusOr<bool> CompactionJob::Step(uint64_t max_bytes) {
       // All inputs drained — or the smallest remaining entry is past
       // this subrange's inclusive upper bound, so every input is.
       PTSB_RETURN_IF_ERROR(FinishOutput());
-      if (!defer_install_) PTSB_RETURN_IF_ERROR(Install());
       finished_ = true;
       return true;
     }
@@ -323,30 +292,8 @@ StatusOr<bool> CompactionJob::Step(uint64_t max_bytes) {
   return false;
 }
 
-Status CompactionJob::Install() {
-  VersionEdit edit;
-  for (const FileMeta& f : pick_.inputs0) {
-    edit.removed.emplace_back(pick_.level, f.number);
-  }
-  for (const FileMeta& f : pick_.inputs1) {
-    edit.removed.emplace_back(pick_.level + 1, f.number);
-  }
-  for (auto& [meta, number] : outputs_) {
-    edit.added.emplace_back(pick_.level + 1, meta);
-  }
-  PTSB_RETURN_IF_ERROR(versions_->LogAndApply(edit));
-  // Drop input files (this job's readers first, then the files, as one
-  // group delete). The store's deleter keeps inputs a snapshot pins on
-  // disk as zombies and reports false; only physical deletions reach
-  // deleted_, so the table cache keeps serving pinned files to snapshot
-  // iterators.
-  inputs_.clear();
-  return DisposeInputs(fs_, dir_, pick_, file_deleter_, &deleted_);
-}
-
 Status DisposeInputs(fs::SimpleFs* fs, const std::string& dir,
-                     const CompactionPick& pick,
-                     const CompactionJob::FileDeleter& deleter,
+                     const CompactionPick& pick, const FileDeleter& deleter,
                      std::vector<uint64_t>* deleted) {
   std::vector<std::string> names;
   for (const auto* inputs : {&pick.inputs0, &pick.inputs1}) {

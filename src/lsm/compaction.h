@@ -64,7 +64,10 @@ struct CompactionIoStats {
   uint64_t entries_dropped = 0;  // shadowed versions + dropped tombstones
 };
 
-// Merges inputs0+inputs1 into new tables at level+1. Drives in steps.
+// Merges one key subrange of inputs0+inputs1 into new tables at
+// level+1, in steps. The job only builds outputs: the store installs
+// every subrange's outputs as ONE atomic VersionSet edit and disposes
+// the shared inputs once (see DisposeInputs).
 class CompactionJob {
  public:
   CompactionJob(fs::SimpleFs* fs, std::string dir, VersionSet* versions,
@@ -74,67 +77,47 @@ class CompactionJob {
   CompactionJob(const CompactionJob&) = delete;
   CompactionJob& operator=(const CompactionJob&) = delete;
 
-  // Opens input tables. Must be called once before Step.
-  Status Prepare();
+  // Input i's table reader, in inputs0-then-inputs1 order. The store
+  // opens each input once, on first use, and shares it across the
+  // subrange jobs, so footer/index/bloom reads are paid once. Readers
+  // must outlive the job.
+  using InputReader = std::function<StatusOr<SstReader*>(size_t input)>;
 
-  // Subcompaction variant: borrows pre-opened readers (one per input, in
-  // inputs0-then-inputs1 order) instead of opening the tables itself, so
-  // K subjobs over the same inputs pay the footer/index/bloom reads
-  // once. The readers must outlive the job.
-  Status PrepareWithReaders(const std::vector<SstReader*>& readers);
+  // Positions every input, in order, at the job's lower bound. Must be
+  // called once before Step.
+  Status PrepareWithReaders(const InputReader& reader);
 
   // Restricts the job to user keys in (begin_exclusive, end_inclusive]
   // — a subrange from SplitCompactionRange. Empty begin means from the
-  // start, empty end means unbounded. Must be set before Prepare.
+  // start, empty end means unbounded. Must be set before
+  // PrepareWithReaders.
   void SetKeyBounds(std::string begin_exclusive, std::string end_inclusive) {
     begin_key_ = std::move(begin_exclusive);
     end_key_ = std::move(end_inclusive);
   }
 
-  // Deferred-install mode (subcompactions): Step finishes outputs but
-  // neither writes the manifest edit nor touches the inputs — the store
-  // installs all subranges' outputs as ONE atomic VersionSet edit and
-  // disposes the shared inputs once. Must be set before the final Step.
-  void set_defer_install(bool defer) { defer_install_ = defer; }
-
-  // Processes about `max_bytes` of input data. Returns true when the whole
-  // compaction is finished and installed (inputs deleted) — or, in
-  // deferred-install mode, drained with all outputs finished.
+  // Processes about `max_bytes` of input data. Returns true when the
+  // job's key range is drained and all its outputs are finished.
   StatusOr<bool> Step(uint64_t max_bytes);
 
   bool finished() const { return finished_; }
   const CompactionIoStats& io_stats() const { return io_; }
   const CompactionPick& pick() const { return pick_; }
   // Finished output tables (meta, file number). Stable once finished();
-  // deferred-install callers read this to build the combined edit.
+  // the store reads this to build the combined edit.
   const std::vector<std::pair<FileMeta, uint64_t>>& outputs() const {
     return outputs_;
-  }
-  // File numbers of tables this job PHYSICALLY deleted (for table-cache
-  // invalidation). Inputs an open snapshot still pins are not listed: the
-  // store's deleter turned them into zombies instead of deleting them.
-  const std::vector<uint64_t>& deleted_files() const { return deleted_; }
-
-  // Input disposal hook: decides only whether an input goes now. Returns
-  // true if the install should delete it, false if it must outlive the
-  // compaction (an open snapshot reads it); the store installs one that
-  // parks pinned inputs as zombies. Unset, every input is deleted (see
-  // DisposeInputs).
-  using FileDeleter = std::function<bool(const FileMeta&)>;
-  void set_file_deleter(FileDeleter deleter) {
-    file_deleter_ = std::move(deleter);
   }
 
  private:
   struct Input {
     FileMeta meta;
-    SstReader* reader = nullptr;            // borrowed or owned_reader.get()
-    std::unique_ptr<SstReader> owned_reader;  // set when self-opened
+    SstReader* reader = nullptr;  // borrowed
     std::unique_ptr<SstReader::Iterator> iter;
   };
 
   // Positions one input's iterator at the first entry inside the key
-  // bounds (shared by both Prepare variants).
+  // bounds.
   Status SeekInputToBegin(Input* in);
 
   // Index of the input whose current entry is smallest in internal order,
@@ -142,7 +125,6 @@ class CompactionJob {
   int FindSmallest() const;
   Status OpenOutput();
   Status FinishOutput();
-  Status Install();
 
   fs::SimpleFs* fs_;
   std::string dir_;
@@ -153,7 +135,6 @@ class CompactionJob {
   std::vector<Input> inputs_;
   std::string begin_key_;  // exclusive lower bound ("" = none)
   std::string end_key_;    // inclusive upper bound ("" = none)
-  bool defer_install_ = false;
   std::unique_ptr<SstBuilder> builder_;
   fs::File* output_file_ = nullptr;
   uint64_t output_number_ = 0;
@@ -163,20 +144,22 @@ class CompactionJob {
   bool prepared_ = false;
   bool finished_ = false;
   CompactionIoStats io_;
-  std::vector<uint64_t> deleted_;
-  FileDeleter file_deleter_;
 };
+
+// Input disposal hook: decides only whether an input goes now. Returns
+// true if the install should delete it, false if it must outlive the
+// compaction (an open snapshot reads it); the store passes one that
+// parks pinned inputs as zombies.
+using FileDeleter = std::function<bool(const FileMeta&)>;
 
 // Disposes a compaction's inputs once its manifest edit is committed:
 // every input the deleter lets go (all of them, with no deleter) is
 // deleted in ONE SimpleFs::Delete call — one metadata page for the
 // group. Appends the numbers it deletes to *deleted (before deleting,
 // so the caller can evict their table-cache readers even if the delete
-// fails). Shared by CompactionJob::Install and the store's subcompaction
-// install.
+// fails).
 Status DisposeInputs(fs::SimpleFs* fs, const std::string& dir,
-                     const CompactionPick& pick,
-                     const CompactionJob::FileDeleter& deleter,
+                     const CompactionPick& pick, const FileDeleter& deleter,
                      std::vector<uint64_t>* deleted);
 
 }  // namespace ptsb::lsm

@@ -11,6 +11,9 @@ namespace ptsb::lsm {
 LsmStore::LsmStore(fs::SimpleFs* fs, const LsmOptions& options,
                    std::string dir)
     : fs_(fs), options_(options), dir_(std::move(dir)),
+      pool_(kv::BackgroundPool::ForEngine(
+          options.clock, options.background_io, options.background_queue,
+          options.compaction_parallelism)),
       write_group_(options.max_write_group_bytes) {}
 
 LsmStore::~LsmStore() {
@@ -288,69 +291,13 @@ Status LsmStore::CompactionWork(uint64_t budget) {
   // explicit drains); without this, picking and preparing a job would
   // still do device reads.
   if (budget == 0) return Status::OK();
-  // Partitioned subcompactions need the pool's independent lanes; they
-  // only exist with background_io and a clock. K <= 1 (or neither)
-  // keeps the single-lane path below, byte for byte.
-  if (options_.compaction_parallelism > 1 && options_.background_io &&
-      options_.clock != nullptr) {
-    return ParallelCompactionWork(budget);
-  }
-  if (!options_.background_io || options_.clock == nullptr) {
-    return CompactionWorkImpl(budget);
-  }
-  kv::BackgroundResult r = kv::RunBackgroundWork(
-      options_.clock, options_.background_queue, &background_horizon_ns_,
-      [&] { return CompactionWorkImpl(budget); });
-  stats_.time_background_ns += r.busy_ns;
-  return r.status;
-}
-
-void LsmStore::JoinBackgroundWork() {
-  if (options_.clock != nullptr) {
-    options_.clock->AdvanceTo(background_horizon_ns_);
-    if (pool_ != nullptr) pool_->Join();
-  }
-}
-
-Status LsmStore::CompactionWorkImpl(uint64_t budget) {
-  if (job_ == nullptr) {
+  if (compaction_ == nullptr) {
     CompactionPick pick = PickCompaction(*versions_, options_);
     if (!pick.valid) return Status::OK();
     if (pick.trivial_move) {
-      // Relink the file into the next level; no I/O at all.
-      VersionEdit edit;
-      edit.removed.emplace_back(pick.level, pick.inputs0[0].number);
-      edit.added.emplace_back(pick.level + 1, pick.inputs0[0]);
-      return versions_->LogAndApply(edit);
-    }
-    job_ = std::make_unique<CompactionJob>(fs_, dir_, versions_.get(),
-                                           options_, std::move(pick));
-    job_->set_file_deleter(MakeFileDeleter());
-    PTSB_RETURN_IF_ERROR(job_->Prepare());
-  }
-  PTSB_ASSIGN_OR_RETURN(const bool done, job_->Step(budget));
-  if (done) {
-    stats_.compaction_bytes_read += job_->io_stats().bytes_read;
-    stats_.compaction_bytes_written += job_->io_stats().bytes_written;
-    EvictReaders(job_->deleted_files());
-    job_.reset();
-  }
-  return Status::OK();
-}
-
-Status LsmStore::ParallelCompactionWork(uint64_t budget) {
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<kv::BackgroundPool>(
-        options_.clock, options_.background_queue,
-        options_.compaction_parallelism);
-  }
-  if (parallel_job_ == nullptr) {
-    CompactionPick pick = PickCompaction(*versions_, options_);
-    if (!pick.valid) return Status::OK();
-    if (pick.trivial_move) {
-      // No table I/O; the manifest append still runs (and is charged)
-      // on a background lane, like the single-lane path.
-      kv::BackgroundResult r = pool_->Run(0, [&] {
+      // Relink the file into the next level: no table I/O, only the
+      // manifest append (charged on a background lane).
+      kv::BackgroundResult r = pool_.Run(0, [&] {
         VersionEdit edit;
         edit.removed.emplace_back(pick.level, pick.inputs0[0].number);
         edit.added.emplace_back(pick.level + 1, pick.inputs0[0]);
@@ -359,9 +306,75 @@ Status LsmStore::ParallelCompactionWork(uint64_t budget) {
       stats_.time_background_ns += r.busy_ns;
       return r.status;
     }
-    PTSB_RETURN_IF_ERROR(StartSubcompaction(std::move(pick)));
+    PTSB_RETURN_IF_ERROR(StartCompaction(std::move(pick), &pool_));
   }
-  auto& jobs = parallel_job_->jobs;
+  return StepCompaction(budget, &pool_);
+}
+
+Status LsmStore::StartCompaction(CompactionPick pick,
+                                 kv::BackgroundPool* pool) {
+  auto c = std::make_unique<Compaction>();
+  c->pick = std::move(pick);
+  const size_t n0 = c->pick.inputs0.size();
+  c->input_readers.resize(n0 + c->pick.inputs1.size());
+  // Each input table is opened once, on first use: the subjobs share
+  // the readers, so footer/index/bloom reads are paid once, not per
+  // subrange.
+  const CompactionJob::InputReader reader =
+      [&](size_t i) -> StatusOr<SstReader*> {
+    std::unique_ptr<SstReader>& r = c->input_readers[i];
+    if (r == nullptr) {
+      const FileMeta& f =
+          i < n0 ? c->pick.inputs0[i] : c->pick.inputs1[i - n0];
+      PTSB_ASSIGN_OR_RETURN(
+          fs::File * file, fs_->Open(VersionSet::SstFileName(dir_, f.number)));
+      PTSB_ASSIGN_OR_RETURN(r, SstReader::Open(file));
+    }
+    return r.get();
+  };
+
+  // Cutting the key range into one subrange per lane needs every
+  // input's block index: open them all on lane 0 first (every subrange
+  // depends on the opens). One lane has nothing to cut; its job opens
+  // each input as it positions it.
+  std::vector<std::string> bounds;
+  if (pool->lanes() > 1) {
+    std::vector<SstReader*> raw;
+    kv::BackgroundResult open_r = pool->Run(0, [&]() -> Status {
+      for (size_t i = 0; i < c->input_readers.size(); i++) {
+        PTSB_ASSIGN_OR_RETURN(SstReader * r, reader(i));
+        raw.push_back(r);
+      }
+      return Status::OK();
+    });
+    stats_.time_background_ns += open_r.busy_ns;
+    PTSB_RETURN_IF_ERROR(open_r.status);
+    pool->Barrier();
+    bounds = SplitCompactionRange(raw, pool->lanes());
+  }
+  const size_t k = bounds.size() + 1;
+  for (size_t i = 0; i < k; i++) {
+    auto job = std::make_unique<CompactionJob>(fs_, dir_, versions_.get(),
+                                               options_, c->pick);
+    job->SetKeyBounds(i == 0 ? std::string() : bounds[i - 1],
+                      i == bounds.size() ? std::string() : bounds[i]);
+    c->jobs.push_back(std::move(job));
+  }
+  // Seed each subrange on its own lane: the initial Seek loads data
+  // blocks, and those reads already overlap across channels.
+  for (size_t i = 0; i < k; i++) {
+    kv::BackgroundResult r =
+        pool->Run(static_cast<int>(i),
+                  [&] { return c->jobs[i]->PrepareWithReaders(reader); });
+    stats_.time_background_ns += r.busy_ns;
+    PTSB_RETURN_IF_ERROR(r.status);
+  }
+  compaction_ = std::move(c);
+  return Status::OK();
+}
+
+Status LsmStore::StepCompaction(uint64_t budget, kv::BackgroundPool* pool) {
+  auto& jobs = compaction_->jobs;
   int live = 0;
   for (const auto& j : jobs) {
     if (!j->finished()) live++;
@@ -369,12 +382,12 @@ Status LsmStore::ParallelCompactionWork(uint64_t budget) {
   if (live > 0) {
     // Split the pacing budget across the live subranges: one call here
     // advances every lane, so a slice still represents `budget` bytes
-    // of input overall — the same pacing a single job would get.
+    // of input overall — the same pacing an unsplit job gets.
     const uint64_t share =
         std::max<uint64_t>(1, budget / static_cast<uint64_t>(live));
     for (size_t i = 0; i < jobs.size(); i++) {
       if (jobs[i]->finished()) continue;
-      kv::BackgroundResult r = pool_->Run(
+      kv::BackgroundResult r = pool->Run(
           static_cast<int>(i),
           [&]() -> Status { return jobs[i]->Step(share).status(); });
       stats_.time_background_ns += r.busy_ns;
@@ -384,101 +397,46 @@ Status LsmStore::ParallelCompactionWork(uint64_t budget) {
   for (const auto& j : jobs) {
     if (!j->finished()) return Status::OK();
   }
-  return InstallSubcompaction();
+  return InstallCompaction(pool);
 }
 
-Status LsmStore::StartSubcompaction(CompactionPick pick) {
-  auto sub = std::make_unique<Subcompaction>();
-  sub->pick = std::move(pick);
-  // Open each input table once, on lane 0: the K subjobs share the
-  // readers, so footer/index/bloom reads are paid once, not per
-  // subrange.
-  std::vector<SstReader*> raw;
-  kv::BackgroundResult open_r = pool_->Run(0, [&]() -> Status {
-    auto open_input = [&](const FileMeta& f) -> Status {
-      PTSB_ASSIGN_OR_RETURN(
-          fs::File * file, fs_->Open(VersionSet::SstFileName(dir_, f.number)));
-      PTSB_ASSIGN_OR_RETURN(auto reader, SstReader::Open(file));
-      raw.push_back(reader.get());
-      sub->input_readers.push_back(std::move(reader));
-      return Status::OK();
-    };
-    for (const FileMeta& f : sub->pick.inputs0) {
-      PTSB_RETURN_IF_ERROR(open_input(f));
-    }
-    for (const FileMeta& f : sub->pick.inputs1) {
-      PTSB_RETURN_IF_ERROR(open_input(f));
-    }
-    return Status::OK();
-  });
-  stats_.time_background_ns += open_r.busy_ns;
-  PTSB_RETURN_IF_ERROR(open_r.status);
-  // Every subrange depends on the shared opens.
-  pool_->Barrier();
-
-  const std::vector<std::string> bounds =
-      SplitCompactionRange(raw, options_.compaction_parallelism);
-  const size_t k = bounds.size() + 1;
-  for (size_t i = 0; i < k; i++) {
-    auto job = std::make_unique<CompactionJob>(fs_, dir_, versions_.get(),
-                                               options_, sub->pick);
-    job->SetKeyBounds(i == 0 ? std::string() : bounds[i - 1],
-                      i == bounds.size() ? std::string() : bounds[i]);
-    job->set_defer_install(true);
-    sub->jobs.push_back(std::move(job));
-  }
-  // Seed each subrange on its own lane: the initial Seek loads data
-  // blocks, and those reads already overlap across channels.
-  for (size_t i = 0; i < k; i++) {
-    kv::BackgroundResult r =
-        pool_->Run(static_cast<int>(i),
-                   [&] { return sub->jobs[i]->PrepareWithReaders(raw); });
-    stats_.time_background_ns += r.busy_ns;
-    PTSB_RETURN_IF_ERROR(r.status);
-  }
-  parallel_job_ = std::move(sub);
-  return Status::OK();
-}
-
-Status LsmStore::InstallSubcompaction() {
-  PTSB_CHECK(parallel_job_ != nullptr);
-  Subcompaction& sub = *parallel_job_;
-  for (const auto& job : sub.jobs) {
+Status LsmStore::InstallCompaction(kv::BackgroundPool* pool) {
+  Compaction& c = *compaction_;
+  for (const auto& job : c.jobs) {
     stats_.compaction_bytes_read += job->io_stats().bytes_read;
     stats_.compaction_bytes_written += job->io_stats().bytes_written;
   }
   // The install depends on every subrange: line the lanes up first,
   // then commit on lane 0.
-  pool_->Barrier();
+  pool->Barrier();
   std::vector<uint64_t> deleted;
-  kv::BackgroundResult r = pool_->Run(0, [&]() -> Status {
+  kv::BackgroundResult r = pool->Run(0, [&]() -> Status {
     // ONE atomic VersionEdit covering all subranges: removals for the
     // shared inputs, additions for every subrange's outputs. A crash
     // before this record leaves only orphan SSTs (the recovery sweep
     // reclaims them); after it, the new version is complete.
     VersionEdit edit;
-    for (const FileMeta& f : sub.pick.inputs0) {
-      edit.removed.emplace_back(sub.pick.level, f.number);
+    for (const FileMeta& f : c.pick.inputs0) {
+      edit.removed.emplace_back(c.pick.level, f.number);
     }
-    for (const FileMeta& f : sub.pick.inputs1) {
-      edit.removed.emplace_back(sub.pick.level + 1, f.number);
+    for (const FileMeta& f : c.pick.inputs1) {
+      edit.removed.emplace_back(c.pick.level + 1, f.number);
     }
-    for (const auto& job : sub.jobs) {
+    for (const auto& job : c.jobs) {
       for (const auto& [meta, number] : job->outputs()) {
-        edit.added.emplace_back(sub.pick.level + 1, meta);
+        edit.added.emplace_back(c.pick.level + 1, meta);
       }
     }
     PTSB_RETURN_IF_ERROR(versions_->LogAndApply(edit));
     // Close the shared readers, then dispose the inputs once, as one
     // group delete (the deleter parks snapshot-pinned inputs as on-disk
-    // zombies; only physical deletions reach the eviction list) — same
-    // order as CompactionJob::Install.
-    sub.jobs.clear();
-    sub.input_readers.clear();
-    return DisposeInputs(fs_, dir_, sub.pick, MakeFileDeleter(), &deleted);
+    // zombies; only physical deletions reach the eviction list).
+    c.jobs.clear();
+    c.input_readers.clear();
+    return DisposeInputs(fs_, dir_, c.pick, MakeFileDeleter(), &deleted);
   });
   stats_.time_background_ns += r.busy_ns;
-  parallel_job_.reset();
+  compaction_.reset();
   EvictReaders(deleted);
   return r.status;
 }
@@ -495,7 +453,7 @@ Status LsmStore::MaybeStall() {
     // wait shows up as an explicit join of the background horizon (and
     // therefore as commit tail latency), not as per-write compaction
     // time.
-    JoinBackgroundWork();
+    pool_.Join();
     if (!CompactionPending() &&
         static_cast<int>(versions_->LevelFiles(0).size()) >=
             options_.l0_stall_trigger) {
@@ -518,7 +476,7 @@ Status LsmStore::DrainCompactions() {
     if (CompactionPending()) continue;
     CompactionPick pick = PickCompaction(*versions_, options_);
     if (!pick.valid) {
-      JoinBackgroundWork();
+      pool_.Join();
       return Status::OK();
     }
   }
@@ -531,7 +489,10 @@ Status LsmStore::CompactAll() {
   if (bottom < 0) return Status::OK();
 
   // Force every level (including the current bottom, so its own tombstones
-  // get a chance to drop) down one step, top to bottom.
+  // get a chance to drop) down one step, top to bottom. The user waits
+  // for a manual compaction: it runs unsplit on the foreground timeline,
+  // through an untimed one-lane pool.
+  kv::BackgroundPool foreground(nullptr, options_.background_queue, 1);
   const int last_forced = std::min(bottom, versions_->num_levels() - 2);
   for (int level = 0; level <= last_forced; level++) {
     while (!versions_->LevelFiles(level).empty()) {
@@ -546,18 +507,11 @@ Status LsmStore::CompactAll() {
       }
       pick.inputs1 = versions_->Overlapping(level + 1, smallest, largest);
       pick.drop_tombstones = CanDropTombstones(*versions_, level + 1);
-      auto job = std::make_unique<CompactionJob>(fs_, dir_, versions_.get(),
-                                                 options_, std::move(pick));
-      job->set_file_deleter(MakeFileDeleter());
-      PTSB_RETURN_IF_ERROR(job->Prepare());
-      for (;;) {
-        PTSB_ASSIGN_OR_RETURN(
-            const bool done, job->Step(options_.compaction_budget_bytes * 8));
-        if (done) break;
+      PTSB_RETURN_IF_ERROR(StartCompaction(std::move(pick), &foreground));
+      while (compaction_ != nullptr) {
+        PTSB_RETURN_IF_ERROR(
+            StepCompaction(options_.compaction_budget_bytes * 8, &foreground));
       }
-      stats_.compaction_bytes_read += job->io_stats().bytes_read;
-      stats_.compaction_bytes_written += job->io_stats().bytes_written;
-      EvictReaders(job->deleted_files());
     }
   }
   return Status::OK();
@@ -706,7 +660,7 @@ void LsmStore::UnpinFile(uint64_t number) {
   fs_->Delete(VersionSet::SstFileName(dir_, number)).ok();
 }
 
-CompactionJob::FileDeleter LsmStore::MakeFileDeleter() {
+FileDeleter LsmStore::MakeFileDeleter() {
   return [this](const FileMeta& f) {
     if (pins_.count(f.number) == 0) return true;
     // A snapshot still reads this input: park it as an on-disk zombie.
@@ -1136,14 +1090,14 @@ Status LsmStore::Flush() {
   write_epoch_++;  // memtable rotation invalidates open iterators
   // The user asked for durability: wait out in-flight background
   // compaction before flushing, like the other engines' Flush does.
-  JoinBackgroundWork();
+  pool_.Join();
   PTSB_RETURN_IF_ERROR(FlushMemtable());
   return Status::OK();
 }
 
 Status LsmStore::Close() {
   if (closed_) return Status::OK();
-  JoinBackgroundWork();  // shutdown waits out in-flight compaction
+  pool_.Join();  // shutdown waits out in-flight compaction
   PTSB_RETURN_IF_ERROR(FlushMemtable());
   if (wal_ != nullptr) PTSB_RETURN_IF_ERROR(wal_->Sync());
   closed_ = true;

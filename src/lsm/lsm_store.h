@@ -94,9 +94,7 @@ class LsmStore : public kv::KVStore {
   // Introspection for tests and benches.
   const VersionSet& versions() const { return *versions_; }
   uint64_t MemtableBytes() const { return memtable_->ApproximateBytes(); }
-  bool CompactionPending() const {
-    return job_ != nullptr || parallel_job_ != nullptr;
-  }
+  bool CompactionPending() const { return compaction_ != nullptr; }
   // Runs compaction to completion (tests; also used by Flush).
   Status DrainCompactions();
   // Manual full compaction (RocksDB CompactRange analog): pushes all data
@@ -117,25 +115,23 @@ class LsmStore : public kv::KVStore {
   // Get's body, run under the group's commit-exclusion lock.
   Status GetInternal(std::string_view key, std::string* value);
   Status FlushMemtable();
-  // Runs up to `budget` bytes of compaction work, starting a job if due.
-  // With background_io on (and a clock), the work runs on the engine's
-  // background lane: the foreground clock does not advance, and the
-  // completion horizon is joined back only where the user genuinely
-  // waits (MaybeStall, DrainCompactions, Close).
+  // Runs up to `budget` bytes of compaction work on pool_, starting a
+  // compaction if one is due. With background_io on (and a clock), the
+  // work runs on the pool's background lanes: the foreground clock does
+  // not advance, and the completion horizon is joined back only where
+  // the user genuinely waits (MaybeStall, DrainCompactions, Close).
   Status CompactionWork(uint64_t budget);
-  Status CompactionWorkImpl(uint64_t budget);
-  // Partitioned-subcompaction variants (compaction_parallelism > 1 with
-  // background_io and a clock). The picked input set is cut into up to K
-  // disjoint key subranges; each runs as its own deferred-install
-  // CompactionJob on its own BackgroundPool lane, so reads/writes from
-  // different subranges overlap in virtual device time. All subranges'
-  // outputs install as ONE atomic VersionSet edit.
-  Status ParallelCompactionWork(uint64_t budget);
-  Status StartSubcompaction(CompactionPick pick);
-  Status InstallSubcompaction();
-  // AdvanceTo the background lane's completion horizon: the foreground
-  // explicitly waiting out pending compaction.
-  void JoinBackgroundWork();
+  // Partitioned subcompaction: the picked input set is cut into up to
+  // pool->lanes() disjoint key subranges; each runs as its own
+  // CompactionJob on its own lane, so reads/writes from different
+  // subranges overlap in virtual device time. One lane is the unsplit
+  // compaction. All subranges' outputs install as ONE atomic
+  // VersionSet edit.
+  Status StartCompaction(CompactionPick pick, kv::BackgroundPool* pool);
+  // Runs about `budget` bytes of the in-flight compaction, split across
+  // its live subranges; installs it once every subrange has drained.
+  Status StepCompaction(uint64_t budget, kv::BackgroundPool* pool);
+  Status InstallCompaction(kv::BackgroundPool* pool);
   Status MaybeStall();
   StatusOr<SstReader*> GetReader(uint64_t number);
   void EvictReaders(const std::vector<uint64_t>& numbers);
@@ -148,7 +144,7 @@ class LsmStore : public kv::KVStore {
                              std::string* value);
   // The CompactionJob input-disposal hook: pinned inputs become on-disk
   // zombies (snapshot_pinned_bytes grows) instead of being deleted.
-  CompactionJob::FileDeleter MakeFileDeleter();
+  FileDeleter MakeFileDeleter();
   // Snapshot deleter body: un-pins every file the snapshot held and
   // physically deletes zombies whose last pin dropped.
   void ReleaseSnapshot(const SnapshotImpl& snap);
@@ -166,23 +162,17 @@ class LsmStore : public kv::KVStore {
   fs::File* wal_file_ = nullptr;
   uint64_t wal_number_ = 0;
 
-  std::unique_ptr<CompactionJob> job_;
-  // In-flight partitioned subcompaction: one pick, the shared input
-  // readers (each input table opened once), and one deferred-install
-  // job per key subrange. Mutually exclusive with job_.
-  struct Subcompaction {
+  // In-flight compaction: one pick, the shared input readers (each
+  // input table opened once), and one job per key subrange.
+  struct Compaction {
     CompactionPick pick;
     std::vector<std::unique_ptr<SstReader>> input_readers;
     std::vector<std::unique_ptr<CompactionJob>> jobs;
   };
-  std::unique_ptr<Subcompaction> parallel_job_;
-  // Background lanes for subcompactions (queue background_queue + i).
-  // Created lazily on the first parallel pick.
-  std::unique_ptr<kv::BackgroundPool> pool_;
-  // Completion time of the last background-lane compaction span
-  // (background_io): the engine's one background worker serializes on
-  // it, and foreground waits join it via JoinBackgroundWork().
-  int64_t background_horizon_ns_ = 0;
+  std::unique_ptr<Compaction> compaction_;
+  // Background lanes for compaction (queue background_queue + i): timed
+  // only with background_io, compaction_parallelism lanes only then.
+  kv::BackgroundPool pool_;
 
   // Table cache: open readers with pinned index+bloom (never evicted while
   // the file is live, as RocksDB effectively does for filter/index blocks).

@@ -57,14 +57,15 @@ struct LsmOptions {
   // so this knob trades scheduling granularity, not timing accuracy.
   uint64_t compaction_budget_bytes = 8ull << 20;
 
-  // Partitioned subcompactions: a picked compaction is split into up to
-  // this many disjoint key subranges, each merged by its own job on its
-  // own background submission lane (queue background_queue + i), so
-  // reads and writes from different subranges overlap across SSD
-  // channels. All subranges install as ONE atomic VersionSet edit.
-  // 1 = today's single-job behavior, byte for byte. Only takes effect
-  // with background_io and a clock (there is no overlap to win
-  // otherwise).
+  // Partitioned subcompactions: the number of lanes in the engine's
+  // kv::BackgroundPool. A picked compaction is split into up to this
+  // many disjoint key subranges, each merged by its own job on its own
+  // background submission lane (queue background_queue + i), so reads
+  // and writes from different subranges overlap across SSD channels.
+  // All subranges install as ONE atomic VersionSet edit. 1 = a one-lane
+  // pool, whose single subrange is the whole compaction. Only takes
+  // effect with background_io and a clock (there is no overlap to win
+  // otherwise; the pool then has one lane).
   int compaction_parallelism = 1;
 
   // CPU cost charged to the virtual clock per operation (0 if no clock).

@@ -1204,8 +1204,8 @@ TEST(QosDifferentialTest, ThrottledSchedulingNeverChangesVisibleState) {
     // maintenance on the background lane under background_io, so a trace
     // this size that never touches the lane means classification broke.
     // Exception: async-dispatch configs (queue_depth) run maintenance
-    // inside the enclosing write lane — RunBackgroundWork cannot fork a
-    // nested lane and legitimately falls back to the caller's class.
+    // inside the enclosing write lane — BackgroundPool::Run cannot fork
+    // a nested lane and legitimately falls back to the caller's class.
     uint64_t bg_bytes = 0;
     for (const auto& c : qos->ssd->channel_stats()) {
       bg_bytes +=

@@ -978,8 +978,8 @@ TEST(LsmSstFinishTest, OneExtentFileIsOneWriteCommand) {
 }
 
 // One L0 -> L1 compaction of four overlapping L0 tables on a timed SSD,
-// through the single-job install (K=1) and the subcompaction install
-// (K=4). Counted at the device: metadata-region writes (LBAs below
+// through the store's one install path, on a one-lane pool (K=1) and
+// a four-lane pool (K=4). Counted at the device: metadata-region writes (LBAs below
 // FsOptions::metadata_pages).
 class LsmInstallTest : public ::testing::TestWithParam<int> {
  protected:
