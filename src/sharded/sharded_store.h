@@ -80,11 +80,12 @@ class ShardedStore : public kv::KVStore {
                                std::vector<std::string>* values) override;
   // Routes to the owning shard's ReadAsync.
   kv::ReadHandle ReadAsync(std::string_view key, std::string* value) override;
+  // NewIterator(kv::ReadOptions{}).
   std::unique_ptr<kv::KVStore::Iterator> NewIterator() override;
-  // With a snapshot: the same k-way merge over per-shard SNAPSHOT
-  // iterators (opts.readahead forwards to each shard's cursor), immune
-  // to concurrent writes. Without a snapshot, falls back to the live
-  // merged cursor.
+  // A k-way merge over one cursor per shard, each opened with opts
+  // (readahead included). With a snapshot the components are per-shard
+  // SNAPSHOT iterators, immune to concurrent writes; without one they
+  // are live cursors.
   std::unique_ptr<kv::KVStore::Iterator> NewIterator(
       const kv::ReadOptions& opts) override;
   // Composes one inner snapshot per shard. Each component is a

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "block/iostat.h"
 #include "block/memory_device.h"
 #include "core/experiment.h"
 #include "fs/filesystem.h"
@@ -237,6 +238,52 @@ TEST(ShardedStoreTest, CrossShardBatchesAndStatsAggregation) {
   EXPECT_EQ(puts, total.user_puts);
   EXPECT_GT(h->store->DiskBytesUsed(), 0u);
   ASSERT_TRUE(h->store->Close().ok());
+}
+
+// A live (snapshot-less) merged cursor hands its readahead to every
+// shard: a readahead-4 scan over sharded/lsm reads exactly as many device
+// commands as the same scan through a snapshot, well under one per block.
+TEST(ShardedStoreTest, LiveScanPassesReadaheadToEveryShard) {
+  block::MemoryBlockDevice dev{4096, 1 << 15};
+  block::IoStatCollector io{&dev};
+  fs::SimpleFs fs{&io, {}};
+  kv::RegisterBuiltinEngines();
+  kv::EngineOptions options;
+  options.engine = "sharded";
+  options.fs = &fs;
+  options.params = {{"shards", "2"},
+                    {"inner_engine", "lsm"},
+                    {"memtable_bytes", std::to_string(64 << 10)},
+                    {"sst_target_bytes", std::to_string(128 << 10)},
+                    {"block_bytes", "4096"}};
+  auto opened = kv::OpenStore(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<kv::KVStore> store = *std::move(opened);
+  constexpr uint64_t kKeys = 4000;
+  for (uint64_t i = 0; i < kKeys; i++) {
+    ASSERT_TRUE(store->Put(kv::MakeKey(i), kv::MakeValue(i, 64)).ok());
+  }
+  ASSERT_TRUE(store->Flush().ok());
+
+  auto scan_reads = [&](const kv::ReadOptions& opts) {
+    const block::IoCounters before = io.counters();
+    auto it = store->NewIterator(opts);
+    uint64_t n = 0;
+    for (it->SeekToFirst(); it->Valid(); it->Next()) n++;
+    EXPECT_TRUE(it->status().ok()) << it->status().ToString();
+    EXPECT_EQ(n, kKeys);
+    return (io.counters() - before).read_ops;
+  };
+  scan_reads({});  // opens every table's reader
+  const uint64_t block_by_block = scan_reads({});
+  const uint64_t live = scan_reads({.readahead = 4});
+  auto snap = *store->GetSnapshot();
+  const uint64_t pinned = scan_reads({.snapshot = snap.get(), .readahead = 4});
+  EXPECT_EQ(live, pinned);
+  EXPECT_LT(live, block_by_block / 2)
+      << "block by block " << block_by_block << ", readahead 4 " << live;
+  snap.reset();
+  ASSERT_TRUE(store->Close().ok());
 }
 
 TEST(ShardedStoreTest, ReopenRecoversEveryShard) {
