@@ -8,7 +8,10 @@
 //  - synchronous calls are exactly submit-then-wait (identical timing);
 //  - a multi-channel async sharded commit finishes EARLIER in simulated
 //    device time than the serialized equivalent, with identical final
-//    store contents — and deterministically so.
+//    store contents — and deterministically so;
+//  - kv::BackgroundPool, the one path engines run background work on:
+//    per-lane serialization, cross-lane overlap, Barrier/Join, and the
+//    inline fallbacks (no clock, or already inside a lane).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,6 +25,7 @@
 #include "block/memory_device.h"
 #include "fs/file.h"
 #include "fs/filesystem.h"
+#include "kv/background_pool.h"
 #include "kv/kv.h"
 #include "kv/registry.h"
 #include "sim/clock.h"
@@ -93,6 +97,153 @@ TEST(SimClockLaneTest, LanesAreThreadLocal) {
 // Submitting the same work on distinct queues of a multi-channel device
 // must cost ~max of the command latencies; on a single channel it stays
 // serialized. Content is identical either way.
+// ---- kv::BackgroundPool -------------------------------------------------
+
+TEST(BackgroundPoolTest, OneLaneRunsBackToBackAndBusyAddsUp) {
+  sim::SimClock clock;
+  clock.Advance(1000);
+  kv::BackgroundPool pool(&clock, 5, 1);
+  const kv::BackgroundResult a = pool.Run(0, [&] {
+    EXPECT_EQ(clock.NowNanos(), 1000);  // lane seeded at the foreground
+    clock.Advance(300);
+    return Status::OK();
+  });
+  const kv::BackgroundResult b = pool.Run(0, [&] {
+    EXPECT_EQ(clock.NowNanos(), 1300);  // behind the lane's first span
+    clock.Advance(200);
+    return Status::OK();
+  });
+  EXPECT_TRUE(a.status.ok());
+  EXPECT_TRUE(b.status.ok());
+  EXPECT_EQ(a.busy_ns, 300);
+  EXPECT_EQ(b.busy_ns, 200);
+  EXPECT_EQ(pool.horizon_ns(), 1500);
+  EXPECT_EQ(clock.NowNanos(), 1000);  // the foreground never moved
+}
+
+TEST(BackgroundPoolTest, LanesOverlapOnConsecutiveQueues) {
+  sim::SimClock clock;
+  clock.Advance(1000);
+  kv::BackgroundPool pool(&clock, 8, 2);
+  EXPECT_EQ(pool.lanes(), 2);
+  const kv::BackgroundResult a = pool.Run(0, [&] {
+    EXPECT_EQ(clock.AsyncQueue(), 8u);
+    EXPECT_EQ(clock.ActiveIoClass(sim::IoClass::kForegroundWrite),
+              sim::IoClass::kBackground);
+    clock.Advance(400);
+    return Status::OK();
+  });
+  const kv::BackgroundResult b = pool.Run(1, [&] {
+    EXPECT_EQ(clock.AsyncQueue(), 9u);
+    EXPECT_EQ(clock.NowNanos(), 1000);  // not behind lane 0
+    clock.Advance(300);
+    return Status::OK();
+  });
+  EXPECT_EQ(a.busy_ns, 400);
+  EXPECT_EQ(b.busy_ns, 300);
+  EXPECT_EQ(pool.horizon_ns(), 1400);  // max of the lanes, not the sum
+  // Lane indexes wrap: lane 2 is lane 0 again, behind its first span.
+  pool.Run(2, [&] {
+    EXPECT_EQ(clock.AsyncQueue(), 8u);
+    EXPECT_EQ(clock.NowNanos(), 1400);
+    return Status::OK();
+  });
+  EXPECT_EQ(clock.NowNanos(), 1000);
+}
+
+TEST(BackgroundPoolTest, BarrierOrdersLanesWithoutMovingTheForeground) {
+  sim::SimClock clock;
+  kv::BackgroundPool pool(&clock, 1, 2);
+  pool.Run(0, [&] {
+    clock.Advance(900);
+    return Status::OK();
+  });
+  pool.Barrier();
+  EXPECT_EQ(clock.NowNanos(), 0);
+  EXPECT_EQ(pool.horizon_ns(), 900);
+  // Lane 1 had no work of its own, yet now starts behind lane 0's.
+  const kv::BackgroundResult r = pool.Run(1, [&] {
+    EXPECT_EQ(clock.NowNanos(), 900);
+    clock.Advance(100);
+    return Status::OK();
+  });
+  EXPECT_EQ(r.busy_ns, 100);
+  EXPECT_EQ(clock.NowNanos(), 0);
+}
+
+TEST(BackgroundPoolTest, JoinAdvancesTheClockToTheMaxHorizon) {
+  sim::SimClock clock;
+  clock.Advance(50);
+  kv::BackgroundPool pool(&clock, 1, 3);
+  const int64_t spans[] = {700, 250, 400};
+  for (int l = 0; l < 3; l++) {
+    pool.Run(l, [&] {
+      clock.Advance(spans[l]);
+      return Status::OK();
+    });
+  }
+  EXPECT_EQ(clock.NowNanos(), 50);
+  pool.Join();
+  EXPECT_EQ(clock.NowNanos(), 750);
+  // Joining again, or past a horizon already reached, moves nothing.
+  clock.Advance(10);
+  pool.Join();
+  EXPECT_EQ(clock.NowNanos(), 760);
+}
+
+TEST(BackgroundPoolTest, NullClockRunsInline) {
+  kv::BackgroundPool pool(nullptr, 1, 3);
+  int calls = 0;
+  const kv::BackgroundResult r = pool.Run(2, [&] {
+    calls++;
+    return Status::IoError("propagated");
+  });
+  EXPECT_EQ(calls, 1);
+  EXPECT_TRUE(r.status.IsIoError());
+  EXPECT_EQ(r.busy_ns, 0);
+  EXPECT_EQ(pool.horizon_ns(), 0);
+  pool.Join();  // no clock: nothing to advance
+}
+
+TEST(BackgroundPoolTest, RunInsideAnEnclosingLaneRunsInline) {
+  sim::SimClock clock;
+  clock.Advance(100);
+  kv::BackgroundPool pool(&clock, 4, 2);
+  ASSERT_TRUE(clock.BeginAsync(0, sim::IoClass::kForegroundWrite));
+  clock.Advance(20);
+  const kv::BackgroundResult r = pool.Run(1, [&] {
+    // Still the enclosing lane: its queue, class and local time.
+    EXPECT_EQ(clock.AsyncQueue(), 0u);
+    EXPECT_EQ(clock.ActiveIoClass(sim::IoClass::kBackground),
+              sim::IoClass::kForegroundWrite);
+    EXPECT_EQ(clock.NowNanos(), 120);
+    clock.Advance(30);
+    return Status::OK();
+  });
+  EXPECT_EQ(r.busy_ns, 0);
+  EXPECT_EQ(clock.EndAsync(), 150);  // the work charged the caller's lane
+  EXPECT_EQ(pool.horizon_ns(), 0);
+  EXPECT_EQ(clock.NowNanos(), 100);
+}
+
+TEST(BackgroundPoolTest, EnginePoolsFanOutOnlyWhenTimed) {
+  sim::SimClock clock;
+  EXPECT_EQ(kv::BackgroundPool::ForEngine(&clock, true, 1, 4).lanes(), 4);
+  EXPECT_EQ(kv::BackgroundPool::ForEngine(&clock, true, 1, 0).lanes(), 1);
+  EXPECT_EQ(kv::BackgroundPool::ForEngine(&clock, false, 1, 4).lanes(), 1);
+  EXPECT_EQ(kv::BackgroundPool::ForEngine(nullptr, true, 1, 4).lanes(), 1);
+  // Untimed: background_io off runs maintenance on the foreground.
+  kv::BackgroundPool untimed =
+      kv::BackgroundPool::ForEngine(&clock, false, 1, 4);
+  const kv::BackgroundResult r = untimed.Run(0, [&] {
+    EXPECT_FALSE(clock.InAsync());
+    clock.Advance(80);
+    return Status::OK();
+  });
+  EXPECT_EQ(r.busy_ns, 0);
+  EXPECT_EQ(clock.NowNanos(), 80);
+}
+
 TEST(SsdChannelTest, DistinctQueuesOverlapOnDistinctChannels) {
   constexpr uint64_t kPages = 512;  // 2 MiB per command
   const std::string payload(kPages * 4096, 'x');
