@@ -958,6 +958,7 @@ std::unique_ptr<TimedHarness> MakeTimedEngine(const EngineConfig& config) {
   return h;
 }
 
+// Compares every KvStoreStats field (a new field must be added here).
 void ExpectStatsEqual(const std::string& label, const kv::KvStoreStats& a,
                       const kv::KvStoreStats& b) {
 #define PTSB_EXPECT_STAT_EQ(field) EXPECT_EQ(a.field, b.field) << label
@@ -985,6 +986,11 @@ void ExpectStatsEqual(const std::string& label, const kv::KvStoreStats& a,
   PTSB_EXPECT_STAT_EQ(buffer_coalesced_bytes);
   PTSB_EXPECT_STAT_EQ(flush_batches);
   PTSB_EXPECT_STAT_EQ(stall_count);
+  PTSB_EXPECT_STAT_EQ(bloom_negatives);
+  PTSB_EXPECT_STAT_EQ(bloom_false_positives);
+  PTSB_EXPECT_STAT_EQ(snapshots_created);
+  PTSB_EXPECT_STAT_EQ(snapshots_open);
+  PTSB_EXPECT_STAT_EQ(snapshot_pinned_bytes);
   PTSB_EXPECT_STAT_EQ(time_wal_ns);
   PTSB_EXPECT_STAT_EQ(time_flush_ns);
   PTSB_EXPECT_STAT_EQ(time_compaction_ns);
