@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs lint: the reference docs must stay in sync with the code.
 
-Three checks, run from the repo root (exits non-zero with a report when
+Five checks, run from the repo root (exits non-zero with a report when
 any doc has rotted):
 
 1. docs/ENGINES.md: for every engine section, the parameter keys listed
@@ -18,6 +18,10 @@ any doc has rotted):
 4. README.md: the `run_experiment` flag table must list exactly the
    flags examples/run_experiment.cpp parses (underscore spellings are
    treated as aliases and skipped).
+5. docs/*.md and README.md: every scoped name inside backticks (such as
+   `kv::BackgroundPool` or `LsmStore::Flush`) must name identifiers
+   that exist in src/, so prose cannot keep describing code that was
+   renamed or deleted.
 """
 import re
 import sys
@@ -37,6 +41,7 @@ DOC = Path("docs/ENGINES.md")
 EXPERIMENTS_DOC = Path("docs/EXPERIMENTS.md")
 SIMULATION_DOC = Path("docs/SIMULATION.md")
 SSD_CONFIG = Path("src/ssd/config.h")
+SRC_DIR = Path("src")
 BENCH_DIR = Path("bench")
 README = Path("README.md")
 RUN_EXPERIMENT = Path("examples/run_experiment.cpp")
@@ -159,6 +164,33 @@ def lint_readme_flags(failures: list) -> int:
     return len(documented)
 
 
+def lint_scoped_names(failures: list) -> int:
+    """Backticked scoped names in docs/*.md and README.md <-> identifiers
+    in src/. Every component of `a::B::c` must be an identifier some
+    src/ file spells. Returns scoped names checked."""
+    identifiers = set()
+    for path in SRC_DIR.rglob("*"):
+        if path.suffix in (".h", ".cc"):
+            identifiers |= set(re.findall(r"\b[A-Za-z_]\w*\b",
+                                          path.read_text()))
+    checked = 0
+    for doc in sorted(Path("docs").glob("*.md")) + [README]:
+        if not doc.exists():
+            continue
+        for lineno, line in enumerate(doc.read_text().splitlines(), 1):
+            for span in re.findall(r"`([^`\n]+)`", line):
+                for name in re.findall(
+                        r"\b(?:[A-Za-z_]\w*::)+~?[A-Za-z_]\w*", span):
+                    checked += 1
+                    missing = [part for part in re.findall(r"\w+", name)
+                               if part not in identifiers]
+                    if missing:
+                        failures.append(
+                            f"names: {doc}:{lineno} `{name}` names "
+                            f"{', '.join(missing)}, absent from {SRC_DIR}/")
+    return checked
+
+
 def main() -> int:
     if not DOC.exists():
         print(f"docs lint: {DOC} is missing", file=sys.stderr)
@@ -191,6 +223,7 @@ def main() -> int:
     n_benches = lint_experiments(failures)
     n_sim = lint_simulation(failures)
     n_flags = lint_readme_flags(failures)
+    n_names = lint_scoped_names(failures)
     if failures:
         print("docs lint FAILED:", file=sys.stderr)
         for f in failures:
@@ -200,7 +233,8 @@ def main() -> int:
     print(f"docs lint OK: {total} engine params checked against "
           f"{len(ENGINES)} option headers, {n_benches} bench rows against "
           f"bench/, {n_sim} SSD timing params against {SSD_CONFIG}, "
-          f"{n_flags} README flags against {RUN_EXPERIMENT}")
+          f"{n_flags} README flags against {RUN_EXPERIMENT}, "
+          f"{n_names} scoped names in docs against {SRC_DIR}/")
     return 0
 
 
