@@ -1621,8 +1621,8 @@ TEST(GoldenBackgroundTimingTest, PinnedAcrossDispatchRestructuring) {
     int parallelism;
     GoldenTiming want;
   };
-  // Recorded before the engines' background work moved onto one
-  // BackgroundPool path; every dispatch refactor must reproduce them.
+  // A change to how background work is dispatched must reproduce these
+  // exactly; one that means to move timing re-records them and says why.
   const Golden goldens[] = {
       {"lsm", false, 1, {68829042, 0, 388, 1074702879}},
       {"lsm", true, 1, {56156208, 13618427, 388, 1074702879}},
