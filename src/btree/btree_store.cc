@@ -238,7 +238,7 @@ Status BTreeStore::WriteNode(Node* node, std::vector<PendingWrite>* deferred) {
     // can fan out across lanes. Safe to reorder among themselves: each
     // targets its own freshly allocated block, and the header that makes
     // any of them reachable is written after all of them complete.
-    deferred->push_back({addr.offset, std::move(data)});
+    deferred->push_back({node, addr.offset, std::move(data)});
     stats_.checkpoint_bytes_written += addr.bytes;
   } else {
     // Eviction writeback of a dirty leaf.
@@ -288,7 +288,17 @@ Status BTreeStore::Checkpoint(kv::BackgroundPool* pool) {
   // post-order, deferring the device writes. Allocation order,
   // parent-pointer updates, frees and byte accounting all happen here.
   std::vector<PendingWrite> writes;
-  PTSB_RETURN_IF_ERROR(WriteDirtySubtree(root_.get(), &writes));
+  // Until the header is durable, a failure must mark dirty again every
+  // node phase 1 marked clean: its new block may be unwritten, and a
+  // retry that found nothing dirty would publish a root naming it. The
+  // blocks those nodes moved away from are pending frees, reusable only
+  // after a durable header, so the last durable tree stays intact.
+  auto redirty = [&writes](Status s) {
+    for (PendingWrite& w : writes) w.node->dirty = true;
+    return s;
+  };
+  Status s = WriteDirtySubtree(root_.get(), &writes);
+  if (!s.ok()) return redirty(s);
 
   // Phase 2: fan the block writes across the pool's lanes — contiguous
   // chunks so each lane still issues ascending offsets.
@@ -306,7 +316,7 @@ Status BTreeStore::Checkpoint(kv::BackgroundPool* pool) {
       return Status::OK();
     });
     stats_.time_background_ns += r.busy_ns;
-    PTSB_RETURN_IF_ERROR(r.status);
+    if (!r.status.ok()) return redirty(r.status);
   }
 
   // Phase 3 (lane 0, ordered after every block write): free-list blob,
@@ -346,7 +356,7 @@ Status BTreeStore::Checkpoint(kv::BackgroundPool* pool) {
     return Status::OK();
   });
   stats_.time_background_ns += r.busy_ns;
-  PTSB_RETURN_IF_ERROR(r.status);
+  if (!r.status.ok()) return redirty(r.status);
   checkpoint_count_++;
   bytes_since_checkpoint_ = 0;
 

@@ -133,10 +133,12 @@ class BTreeStore : public kv::KVStore {
   StatusOr<Node*> FetchChild(Node* parent, size_t idx);
   StatusOr<Node*> DescendToLeaf(std::string_view key);
 
-  // One deferred checkpoint block write: the bytes for a node (or blob)
-  // at its freshly allocated offset, device write postponed so a batch
-  // of them can fan out across background lanes.
+  // One deferred checkpoint block write: a node's bytes at its freshly
+  // allocated offset, device write postponed so a batch of them can fan
+  // out across background lanes. `node` is kept so a failed checkpoint
+  // can mark it dirty again.
   struct PendingWrite {
+    Node* node = nullptr;
     uint64_t offset = 0;
     std::string data;
   };
@@ -152,9 +154,10 @@ class BTreeStore : public kv::KVStore {
   // Checkpoint on `pool`: collects the dirty nodes' block writes, fans
   // them across the pool's lanes, then runs the free-list blob, header
   // and journal rotation on lane 0 behind a background-side barrier —
-  // header last, frees after it. Paced checkpoints pass pool_; the
-  // user-facing ones (Flush, GetSnapshot, Close) run through
-  // ForegroundCheckpoint.
+  // header last, frees after it. If it fails before the header is
+  // durable, every node it marked clean is dirty again, so a retry
+  // rewrites them. Paced checkpoints pass pool_; the user-facing ones
+  // (Flush, GetSnapshot, Close) run through ForegroundCheckpoint.
   Status Checkpoint(kv::BackgroundPool* pool);
   // Checkpoint on an untimed one-lane pool: on the foreground timeline.
   Status ForegroundCheckpoint();

@@ -1406,6 +1406,38 @@ TEST(FaultInjectionTest, BTreeSurfacesCheckpointErrors) {
   EXPECT_TRUE(s.IsIoError()) << s.ToString();
 }
 
+// A checkpoint whose node write fails must leave those nodes dirty: the
+// retry rewrites them before it publishes a header, so nothing the
+// durable header names is an unwritten block.
+TEST(FaultInjectionTest, BTreeRetriedCheckpointKeepsData) {
+  const EngineConfig config{"btree", "btree", TinyBTreeParams()};
+  auto h = MakeEngine(config);
+  testing::ReferenceModel model;
+  Rng rng(0xf1a5);
+  for (int i = 0; i < 300; i++) {
+    const std::string key = "k" + std::to_string(rng.Uniform(120));
+    const std::string value(rng.UniformRange(50, 400), 'a' + i % 26);
+    ASSERT_TRUE(h->store->Put(key, value).ok());
+    model.Put(key, value);
+  }
+  ASSERT_TRUE(h->store->Flush().ok());
+  for (int i = 0; i < 40; i++) {
+    const std::string key = "k" + std::to_string(rng.Uniform(120));
+    const std::string value(rng.UniformRange(50, 400), 'A' + i % 26);
+    ASSERT_TRUE(h->store->Put(key, value).ok());
+    model.Put(key, value);
+  }
+  h->dev.FailNextWrites(1);
+  Status s = h->store->Flush();
+  ASSERT_TRUE(s.IsIoError()) << s.ToString();
+  ASSERT_TRUE(h->store->Flush().ok());
+  testing::VerifyAll(h->store.get(), model);
+  ASSERT_TRUE(h->store->Close().ok());
+  Reopen(h.get(), config);
+  testing::VerifyAll(h->store.get(), model);
+  ASSERT_TRUE(h->store->Close().ok());
+}
+
 TEST(FaultInjectionTest, AlogSurfacesDeviceWriteErrors) {
   auto h = MakeEngine({"alog", "alog", TinyAlogParams()});
   std::string value(8000, 'v');  // spans pages: reaches the device now
