@@ -581,6 +581,9 @@ Status AlogStore::CollectSegment(uint64_t id) {
     }
     stats_.gc_bytes_read += r.loc.value_bytes;
     batch.Put(r.key, values[i]);
+    // The batch holds its own copy: release this one so the victim's
+    // live bytes are held about once, not twice.
+    std::string().swap(values[i]);
   }
 
   if (!batch.empty()) {
